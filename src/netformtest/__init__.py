@@ -83,6 +83,4 @@ from .testing import (
     locally_best_statistic,
     theorem2_derivative,
 )
-from .cli import RunManifest, dispatch, get_parser
-
-__version__ = "0.1.0"
+from .cli import RunManifest, __version__, dispatch, get_parser

@@ -19,6 +19,12 @@ out of that node; the step leaving an odd position picks a node whose arc
 *into* the odd-position node is absent and unmarked.  Both arcs point into the
 passive node.  A walk closes a cycle when it revisits a node in the same role;
 dead ends (no feasible continuation) end the walk with no cycle.
+
+Random numbers: every chain function takes an explicit ``random.Random``.  The
+laziness and extension coins use ``rng.random()``; every uniform choice of a
+walk (the start node and each step) calls ``rng.getrandbits`` exactly as
+``rng.randrange`` would, so a seeded stream gives the same walks, draws and
+tallies as a chain that calls ``randrange`` for each choice.
 """
 
 from __future__ import annotations
@@ -68,16 +74,10 @@ class FrozenChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Chain parameters: walk length ``tau`` and laziness ``q``.
-
-    ``seed`` is optional provenance for callers that construct their own RNG
-    streams from it; the sampling functions themselves take an explicit
-    ``random.Random``.
-    """
+    """Chain parameters: walk length ``tau`` and laziness ``q``."""
 
     tau: int
     q: float = 0.5
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.tau < 0:
@@ -173,16 +173,50 @@ class ChainStats:
         return self.flips / arc_count
 
 
+# Byte tables for picking the t-th lowest set bit of a candidate mask:
+# _BYTE_POPCOUNT[b] is the number of set bits of byte b, and _BYTE_BITS[b] the
+# positions of those bits in increasing order.
+_BYTE_POPCOUNT = bytes(b.bit_count() for b in range(256))
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def _select_bit(mask: int, t: int, nbytes: int) -> int:
+    """Position of the t-th lowest set bit of ``mask``, counting t from 0.
+
+    Scans the ``nbytes``-byte little-endian form of ``mask`` one byte at a
+    time; ``t`` must be smaller than ``mask.bit_count()``.
+    """
+    pos = 0
+    for byte in mask.to_bytes(nbytes, "little"):
+        c = _BYTE_POPCOUNT[byte]
+        if t < c:
+            return pos + _BYTE_BITS[byte][t]
+        t -= c
+        pos += 8
+    raise ValueError("t must be smaller than the number of set bits")
+
+
 def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
     """Grow one alternating walk under the given marks (mutated in place).
 
     Returns (nodes, cycle_bounds); cycle_bounds is None for dead ends.  When
     ``counts`` is a list, the feasible-set size of every choice is appended to
     it (for probability bookkeeping).
+
+    Each uniform choice among c options is ``Random._randbelow(c)`` written
+    out: draw c.bit_length() bits and redraw while the value is at least c.
+    That is exactly the ``getrandbits`` sequence of ``rng.randrange(c)``, and
+    no bits are drawn when c == 1.  The chosen node is the t-th lowest set bit
+    of the candidate mask (:func:`_select_bit`).
     """
     full = (1 << n) - 1
-    randrange = rng.randrange
-    start = randrange(n)
+    nbytes = (n + 7) >> 3
+    getrandbits = rng.getrandbits
+    select_bit = _select_bit
+    kbits = n.bit_length()
+    start = getrandbits(kbits)
+    while start >= n:
+        start = getrandbits(kbits)
     nodes = [start]
     pos_active = {start: 0}
     pos_passive: dict[int, int] = {}
@@ -194,11 +228,13 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
             return nodes, None
         c = cand.bit_count()
         if c > 1:
-            t = randrange(c)
-            while t:
-                cand &= cand - 1
-                t -= 1
-        j = (cand & -cand).bit_length() - 1
+            kbits = c.bit_length()
+            t = getrandbits(kbits)
+            while t >= c:
+                t = getrandbits(kbits)
+            j = select_bit(cand, t, nbytes)
+        else:
+            j = cand.bit_length() - 1
         mrows[cur] |= 1 << j
         mcols[j] |= 1 << cur
         nodes.append(j)
@@ -214,11 +250,13 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
             return nodes, None
         c = cand.bit_count()
         if c > 1:
-            t = randrange(c)
-            while t:
-                cand &= cand - 1
-                t -= 1
-        k = (cand & -cand).bit_length() - 1
+            kbits = c.bit_length()
+            t = getrandbits(kbits)
+            while t >= c:
+                t = getrandbits(kbits)
+            k = select_bit(cand, t, nbytes)
+        else:
+            k = cand.bit_length() - 1
         mrows[k] |= 1 << j
         mcols[j] |= 1 << k
         nodes.append(k)
@@ -341,19 +379,26 @@ def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -
     mrows = [0] * n
     mcols = [0] * n
     total = [0] * (K * K)
-    cycles: list[list[tuple[int, int, bool]]] = []
+    cycles: list[tuple[list[int], tuple[int, int]]] = []
     n_walks = 0
     while True:
         nodes, bounds = _walk(rows, cols, n, mrows, mcols, rng)
         n_walks += 1
         if bounds is not None:
-            arcs = _cycle_arc_triples(nodes, bounds)
-            cycles.append(arcs)
-            for u, v, present in arcs:
-                total[codes[u] * K + codes[v]] += -1 if present else 1
+            cycles.append((nodes, bounds))
+            a, b = bounds
+            # Even positions start a present arc nodes[t] -> nodes[t+1], which
+            # the switch removes; odd positions the absent arc
+            # nodes[t+1] -> nodes[t], which it adds.  a may be odd.
+            for t in range(a, b):
+                if t & 1:
+                    total[codes[nodes[t + 1]] * K + codes[nodes[t]]] += 1
+                else:
+                    total[codes[nodes[t]] * K + codes[nodes[t + 1]]] -= 1
         if not any(total):
             flips = 0
-            for arcs in cycles:
+            for nodes, bounds in cycles:
+                arcs = _cycle_arc_triples(nodes, bounds)
                 switch_cycle(d, arcs)
                 flips += len(arcs)
             return StepInfo("accepted", n_walks, flips)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 import netformtest as nt
+from netformtest.sampler import StepInfo, switch_cycle
 
 # (name, n, groups, arcs, expected reference-set size)
 CHAIN_FIXTURES = [
@@ -190,3 +191,103 @@ def brute_force_reference_set(n, s, m, g):
         if degree_sequence(d) == s and cross_link_matrix(d, g).counts == m.counts:
             keys.append(d.key())
     return sorted(keys)
+
+
+# -- reference chain: the oracle for the sampler's optimised walk -------------
+
+
+def reference_walk(rows, cols, n, mrows, mcols, rng, counts=None):
+    """The sampler's walk written with ``randrange`` and a bit-clearing loop.
+
+    The oracle for ``netformtest.sampler._walk``: same arguments, same result
+    (nodes, cycle_bounds), same marks and ``counts``.  Each choice among c > 1
+    candidates calls ``rng.randrange(c)`` and clears the lowest set bit t
+    times, so the runtime walk must consume the same random numbers.
+    """
+    full = (1 << n) - 1
+    randrange = rng.randrange
+    start = randrange(n)
+    nodes = [start]
+    pos_active = {start: 0}
+    pos_passive: dict[int, int] = {}
+    cur = start
+    while True:
+        # Active step: follow an unmarked present arc out of cur.
+        cand = rows[cur] & ~mrows[cur]
+        if not cand:
+            return nodes, None
+        c = cand.bit_count()
+        if c > 1:
+            t = randrange(c)
+            while t:
+                cand &= cand - 1
+                t -= 1
+        j = (cand & -cand).bit_length() - 1
+        mrows[cur] |= 1 << j
+        mcols[j] |= 1 << cur
+        nodes.append(j)
+        if counts is not None:
+            counts.append(c)
+        p = pos_passive.get(j)
+        if p is not None:
+            return nodes, (p, len(nodes) - 1)
+        pos_passive[j] = len(nodes) - 1
+        # Passive step: pick k whose arc k -> j is absent and unmarked.
+        cand = full & ~cols[j] & ~mcols[j] & ~(1 << j)
+        if not cand:
+            return nodes, None
+        c = cand.bit_count()
+        if c > 1:
+            t = randrange(c)
+            while t:
+                cand &= cand - 1
+                t -= 1
+        k = (cand & -cand).bit_length() - 1
+        mrows[k] |= 1 << j
+        mcols[j] |= 1 << k
+        nodes.append(k)
+        if counts is not None:
+            counts.append(c)
+        p = pos_active.get(k)
+        if p is not None:
+            return nodes, (p, len(nodes) - 1)
+        pos_active[k] = len(nodes) - 1
+        cur = k
+
+
+def reference_step(d, g, cfg, rng):
+    """One chain step built on :func:`reference_walk`; returns a StepInfo.
+
+    Collects each cycle's arcs as (source, target, present) triples as soon as
+    the walk closes it, and switches them with the runtime ``switch_cycle``.
+    """
+    if rng.random() < cfg.q:
+        return StepInfo("lazy", 0, 0)
+    n, codes, K = d.n, g.codes, g.n_groups
+    mrows = [0] * n
+    mcols = [0] * n
+    total = [0] * (K * K)
+    cycles = []
+    n_walks = 0
+    while True:
+        nodes, bounds = reference_walk(d.rows, d.cols, n, mrows, mcols, rng)
+        n_walks += 1
+        if bounds is not None:
+            a, b = bounds
+            arcs = [
+                (nodes[t], nodes[t + 1], True) if t % 2 == 0
+                else (nodes[t + 1], nodes[t], False)
+                for t in range(a, b)
+            ]
+            cycles.append(arcs)
+            for u, v, present in arcs:
+                total[codes[u] * K + codes[v]] += -1 if present else 1
+        if not any(total):
+            flips = 0
+            for arcs in cycles:
+                switch_cycle(d, arcs)
+                flips += len(arcs)
+            return StepInfo("accepted", n_walks, flips)
+        if rng.random() < 0.5:
+            continue
+        return StepInfo("abandoned", n_walks, 0)

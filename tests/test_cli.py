@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import netformtest as nt
+import netformtest.cli
 from netformtest.cli import main
 from netformtest.model import logistic_cdf
 
@@ -515,6 +516,16 @@ def test_version_flag_exits_cleanly(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == nt.__version__
+
+
+def test_package_version_is_the_project_version():
+    # One version string: the package re-exports the CLI's, and the project
+    # metadata states the same.
+    assert nt.__version__ is netformtest.cli.__version__
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == nt.__version__
 
 
 def test_console_script_is_installed():

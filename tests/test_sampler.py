@@ -33,6 +33,7 @@ from netformtest.sampler import (
     switch_cycle,
     violation_of_cycle,
 )
+from netformtest.sampler import _select_bit, _walk
 
 from _fixtures import (
     CHAIN_FIXTURES,
@@ -40,6 +41,8 @@ from _fixtures import (
     build_fixture,
     random_digraph,
     random_groups,
+    reference_step,
+    reference_walk,
 )
 
 
@@ -514,6 +517,118 @@ def test_markov_draw_with_zero_steps_returns_identical_copy():
     out = markov_draw(d, g, ChainConfig(tau=0), random.Random(1))
     assert out.key() == d.key()
     assert out is not d
+
+
+# -- equivalence with the reference chain ---------------------------------------
+#
+# ``reference_walk`` and ``reference_step`` in _fixtures make each choice with
+# ``randrange`` and a bit-clearing loop.  The runtime walk must make the same
+# choices from the same random numbers, so that every seeded stream, draw and
+# tally stays as it was.
+
+
+def mixed_digraph(n, rng):
+    """A digraph whose rows are empty, full, a single arc, sparse or dense."""
+    rows = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        kind = rng.randrange(5)
+        if kind == 0:
+            chosen = []
+        elif kind == 1:
+            chosen = others
+        elif kind == 2:
+            chosen = [rng.choice(others)]
+        else:
+            p = 0.15 if kind == 3 else 0.85
+            chosen = [j for j in others if rng.random() < p]
+        rows.append(sum(1 << j for j in chosen))
+    return nt.AdjacencyMatrix(n, rows)
+
+
+def random_marks(n, rng):
+    """Row and column masks of links marked at random, as by earlier walks."""
+    share = rng.choice([0.0, 0.1, 0.5])
+    mrows, mcols = [0] * n, [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < share:
+                mrows[i] |= 1 << j
+                mcols[j] |= 1 << i
+    return mrows, mcols
+
+
+def test_select_bit_matches_brute_force():
+    for byte in range(256):
+        ones = [i for i in range(8) if byte >> i & 1]
+        for t, want in enumerate(ones):
+            assert _select_bit(byte, t, 1) == want
+    rng = random.Random(7)
+    for _ in range(3000):
+        width = rng.randint(1, 200)
+        mask = rng.getrandbits(width) | 1 << (width - 1)
+        ones = [i for i in range(width) if mask >> i & 1]
+        nbytes = (width + 7) // 8 + rng.randrange(2)  # with or without a zero pad byte
+        for t in {0, len(ones) - 1, rng.randrange(len(ones))}:
+            assert _select_bit(mask, t, nbytes) == ones[t]
+    with pytest.raises(ValueError):
+        _select_bit(0b1011, 3, 1)
+
+
+def test_walk_matches_reference_walk():
+    rng = random.Random(2718)
+    seen_counts, seen_ends, odd_cycle_starts = set(), set(), 0
+    for n in (2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130):
+        for _ in range(60 if n < 60 else 20):
+            d = mixed_digraph(n, rng)
+            mrows, mcols = random_marks(n, rng)
+            seed = rng.getrandbits(64)
+            fast, slow = random.Random(seed), random.Random(seed)
+            fast_marks = (list(mrows), list(mcols))
+            slow_marks = (list(mrows), list(mcols))
+            for _ in range(4):  # successive walks under shared marks, as in one attempt
+                fast_counts, slow_counts = [], []
+                got = _walk(d.rows, d.cols, n, *fast_marks, fast, fast_counts)
+                want = reference_walk(d.rows, d.cols, n, *slow_marks, slow, slow_counts)
+                assert got == want
+                assert fast_counts == slow_counts
+                assert fast_marks == slow_marks
+                assert fast.getstate() == slow.getstate()
+                bounds = want[1]
+                seen_counts.update(slow_counts)
+                seen_ends.add(bounds is None)
+                odd_cycle_starts += bounds is not None and bounds[0] % 2 == 1
+    # The cases reach single-candidate choices, choices among every other node
+    # of a 130-node graph, dead ends, and cycles that close on a passive node.
+    assert {1, 129} <= seen_counts
+    assert seen_ends == {True, False}
+    assert odd_cycle_starts > 0
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_markov_draw_matches_reference_steps(K):
+    rng = random.Random(300 + K)
+    cfg = ChainConfig(tau=150, q=0.5)
+    abandoned = flips = 0
+    for n in (4, 5, 9, 24, 65):
+        d = random_digraph(n, rng.choice([0.2, 0.5]), rng)
+        g = random_groups(n, K, rng)
+        seed = rng.getrandbits(64)
+        fast, slow = random.Random(seed), random.Random(seed)
+        stats = ChainStats()
+        got = markov_draw(d, g, cfg, fast, stats)
+        want = d.copy()
+        want_stats = ChainStats()
+        for _ in range(cfg.tau):
+            want_stats.update(reference_step(want, g, cfg, slow))
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert stats == want_stats
+        assert fast.getstate() == slow.getstate()
+        abandoned += stats.abandoned
+        flips += stats.flips
+    # The draws switch cycles, and with several groups they also abandon.
+    assert flips > 0
+    assert (abandoned > 0) == (K > 1)
 
 
 # -- reachability and uniformity ------------------------------------------------
