@@ -59,19 +59,11 @@ from .sampler import (
     ChainConfig,
     ChainStats,
     FrozenChainError,
-    LinkMarks,
-    Schlaufe,
-    ViolationMatrix,
-    cycle_arcs,
-    detect_schlaufe,
     enumerate_reference_set,
     markov_draw,
     markov_step,
     mixing_time_heuristic,
-    replay_walk_log_prob,
-    reversed_walk,
     switch_cycle,
-    violation_of_cycle,
 )
 from .testing import (
     CriticalValues,

@@ -50,16 +50,9 @@ from .model import (
     simulate_null,
     strategic_spec,
 )
-from ._rng import substream_generator, substream_random
-from .sampler import (
-    ChainConfig,
-    ChainStats,
-    FrozenChainError,
-    enumerate_reference_set,
-    markov_draw,
-    mixing_time_heuristic,
-)
-from .testing import _NS_DRAW, _NS_PILOT, TestStatisticSpec, conditional_p_value
+from ._rng import substream_generator
+from .sampler import ChainConfig, ChainStats, FrozenChainError, enumerate_reference_set
+from .testing import TestStatisticSpec, conditional_p_value, reference_draws
 
 __version__ = "0.1.0"
 
@@ -221,11 +214,11 @@ def _load_params(path, ctx: _RunContext) -> tuple[NuisanceParams, GroupAssignmen
     return delta, g
 
 
-def _chain_config(args) -> tuple[ChainConfig | None, float]:
-    """Resolve --tau / --tau-auto into a ChainConfig (None means pilot-tuned)."""
+def _chain_config(args) -> ChainConfig | None:
+    """The walk that --tau and --q fix; None means pilot-tuned (--tau-auto)."""
     if args.tau is not None:
-        return ChainConfig(tau=args.tau, q=args.q), args.tau_auto
-    return None, args.tau_auto
+        return ChainConfig(tau=args.tau, q=args.q)
+    return None
 
 
 def _fit_gradient_sup_norm(d, delta, g) -> float:
@@ -247,30 +240,32 @@ def _fit_gradient_sup_norm(d, delta, g) -> float:
 
 def _cmd_sample(args, ctx: _RunContext) -> dict:
     d, g = _load_network(args, ctx)
-    chain_g = g if getattr(args, "nodes", None) else GroupAssignment.single_group(d.n)
-    cfg, mixing_r = _chain_config(args)
-    if cfg is None:
-        tau = mixing_time_heuristic(
-            d, chain_g, r=mixing_r, q=args.q, rng=substream_random(ctx.seed, _NS_PILOT)
-        )
-        cfg = ChainConfig(tau=tau, q=args.q)
+    conditioning = "degree_and_crosslink" if args.nodes else "degree_only"
+    draws = reference_draws(
+        d,
+        g,
+        conditioning,
+        args.draws,
+        _chain_config(args),
+        ctx.seed,
+        mixing_r=args.tau_auto,
+        q=args.q,
+    )
     stats = ChainStats()
     rows = []
-    for b in range(args.draws):
-        rng = substream_random(ctx.seed, _NS_DRAW, b)
-        draw = markov_draw(d, chain_g, cfg, rng, stats=stats)
-        for i, j in draw.arcs():
+    for b in range(draws.n_draws):
+        for i, j in draws.draw(b, stats).arcs():
             rows.append((b, i + args.index_base, j + args.index_base))
     _write_csv(ctx.outdir / "draws.csv", ["draw", "source", "target"], rows)
-    rate = stats.acceptance_rate
+    cfg = draws.cfg
     print(
         f"wrote {args.draws} draws (tau={cfg.tau}, q={cfg.q:g}, "
-        f"acceptance rate {rate:.3f})"
+        f"acceptance rate {stats.acceptance_rate:.3f})"
     )
     return {
         "edges": str(args.edges),
         "nodes": str(args.nodes) if args.nodes else None,
-        "conditioning": "degree_and_crosslink" if args.nodes else "degree_only",
+        "conditioning": conditioning,
         "draws": args.draws,
         "tau": cfg.tau,
         "q": cfg.q,
@@ -341,17 +336,17 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
         delta_source=args.delta_source,
         delta=delta,
     )
-    cfg, mixing_r = _chain_config(args)
     result = conditional_p_value(
         d,
         g,
         stat,
         reference=reference,
         n_draws=args.draws,
-        cfg=cfg,
+        cfg=_chain_config(args),
         seed=ctx.seed,
         jobs=ctx.jobs,
-        mixing_r=mixing_r,
+        mixing_r=args.tau_auto,
+        q=args.q,
     )
     _write_json(
         ctx.outdir / "result.json",
@@ -534,7 +529,9 @@ def _add_chain_options(p: argparse.ArgumentParser) -> None:
         metavar="R",
         help="pilot-tune tau to modify each arc R times per draw (ignored with --tau)",
     )
-    p.add_argument("--q", type=float, default=0.5, help="laziness probability")
+    p.add_argument(
+        "--q", type=float, default=0.5, help="laziness probability of the pilot and the draws"
+    )
 
 
 def get_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ from .model import (
     strategic_spec,
 )
 from .sampler import FrozenChainError
-from .testing import _reference_values
+from .testing import Statistic, add_one_p_value, reference_draws
 
 __all__ = [
     "CalibrationRow",
@@ -181,23 +182,9 @@ class PowerTable:
         raise KeyError((gamma, statistic))
 
 
-def _delta_desc(kind: str, strategic: str, delta: NuisanceParams) -> dict:
-    return {
-        "kind": "locally_best",
-        "strategic": strategic,
-        "sender": np.asarray(delta.sender, dtype=float),
-        "receiver": np.asarray(delta.receiver, dtype=float),
-        "mixing": np.asarray(delta.mixing, dtype=float),
-    }
-
-
-def _replication(task):
-    """One (gamma, replication) cell; returns per-statistic rejections.
-
-    Returns (gamma_index, rep, outcome) where outcome is None for a failed
-    replication, else a dict statistic -> bool (rejected at level alpha).
-    """
-    cfg, seed, gamma_index, rep = task
+def _replication(cfg: ExperimentConfig, seed: int, gamma_index: int, rep: int):
+    """One (gamma, replication) cell: statistic name -> rejected at level
+    alpha, or None for a failed replication."""
     gamma = cfg.gammas[gamma_index]
     rng_pop = substream_generator(seed, _NS_POPULATION, gamma_index, rep)
     delta_true, g = study_population(cfg.n_nodes, rng_pop)
@@ -208,56 +195,40 @@ def _replication(task):
     else:
         observed = simulate_alternative(delta_true, gamma, spec, g, rng_shocks)
 
-    descs = []
+    statistics = []
     try:
         for name in cfg.statistics:
             if name == "locally_best_fitted":
                 delta_hat = mle_null(observed, g)
-                descs.append(_delta_desc(name, cfg.strategic, delta_hat))
+                statistics.append(Statistic.score(cfg.strategic, delta_hat, g))
             elif name == "locally_best_true":
-                descs.append(_delta_desc(name, cfg.strategic, delta_true))
-            elif name == "transitivity_index":
-                descs.append({"kind": "transitivity_index"})
+                statistics.append(Statistic.score(cfg.strategic, delta_true, g))
             else:
-                descs.append({"kind": "reciprocity_index"})
+                statistics.append(Statistic(name))
     except SeparationError:
-        return gamma_index, rep, None
+        return None
 
     chain_seed = int.from_bytes(
         seed_sequence(seed, _NS_CHAIN, gamma_index, rep).generate_state(4).tobytes(),
         "little",
     )
     try:
-        values, _tau, _q, _stats = _reference_values(
+        draws = reference_draws(
             observed,
             g,
-            descs,
             cfg.reference,
             cfg.n_draws,
-            None,
-            chain_seed,
-            jobs=1,
+            seed=chain_seed,
             mixing_r=cfg.mixing_r,
             q=cfg.q,
         )
+        values, _ = draws.values(statistics)
     except FrozenChainError:
-        return gamma_index, rep, None
-
-    from .testing import _build_evaluators  # local import keeps pickling light
-
-    evaluators = _build_evaluators(descs, g)
-    outcome = {}
-    arr = np.asarray(values, dtype=float)
-    for s, name in enumerate(cfg.statistics):
-        observed_value = evaluators[s](observed)
-        col = arr[:, s]
-        defined = col[~np.isnan(col)]
-        if math.isnan(observed_value) or defined.size == 0:
-            outcome[name] = False
-            continue
-        p = (1 + int((defined >= observed_value).sum())) / (defined.size + 1)
-        outcome[name] = p <= cfg.alpha
-    return gamma_index, rep, outcome
+        return None
+    return {
+        name: add_one_p_value(statistic(observed), column) <= cfg.alpha
+        for name, statistic, column in zip(cfg.statistics, statistics, values.T)
+    }
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, jobs: int = 1) -> PowerTable:
@@ -267,20 +238,18 @@ def run_experiment(cfg: ExperimentConfig, seed: int, jobs: int = 1) -> PowerTabl
     replication index), so the table is reproducible and independent of
     ``jobs``.
     """
-    tasks = [
-        (cfg, seed, gamma_index, rep)
-        for gamma_index in range(len(cfg.gammas))
-        for rep in range(cfg.n_reps)
-    ]
+    gamma_indices = [gi for gi in range(len(cfg.gammas)) for _ in range(cfg.n_reps)]
+    reps = list(range(cfg.n_reps)) * len(cfg.gammas)
+    replicate = partial(_replication, cfg, seed)
     if jobs <= 1:
-        outcomes = [_replication(t) for t in tasks]
+        outcomes = list(map(replicate, gamma_indices, reps))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_replication, tasks, chunksize=8))
+            outcomes = list(pool.map(replicate, gamma_indices, reps, chunksize=8))
 
     table = PowerTable(alpha=cfg.alpha, n_reps=cfg.n_reps, n_draws=cfg.n_draws)
     for gamma_index, gamma in enumerate(cfg.gammas):
-        cell = [o for gi, _, o in outcomes if gi == gamma_index]
+        cell = [o for gi, o in zip(gamma_indices, outcomes) if gi == gamma_index]
         failures = sum(1 for o in cell if o is None)
         used = len(cell) - failures
         for name in cfg.statistics:

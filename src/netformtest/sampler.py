@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .graphs import (
     AdjacencyMatrix,
@@ -47,25 +45,13 @@ __all__ = [
     "ChainConfig",
     "ChainStats",
     "FrozenChainError",
-    "LinkMarks",
-    "Schlaufe",
     "StepInfo",
-    "ViolationMatrix",
-    "cycle_arcs",
-    "detect_schlaufe",
     "enumerate_reference_set",
     "markov_draw",
     "markov_step",
     "mixing_time_heuristic",
-    "replay_walk_log_prob",
-    "reversed_walk",
     "switch_cycle",
-    "violation_of_cycle",
 ]
-
-#: K x K integer array; entry (k, l) is the net change in arcs from group k to
-#: group l that switching a cycle would cause.
-ViolationMatrix = np.ndarray
 
 
 class FrozenChainError(RuntimeError):
@@ -84,55 +70,6 @@ class ChainConfig:
             raise ValueError("tau must be non-negative")
         if not 0.0 <= self.q < 1.0:
             raise ValueError("laziness q must lie in [0, 1)")
-
-
-class LinkMarks:
-    """Per-attempt record of traversed links, as row/column bitmasks.
-
-    Marks accumulate over all walks of one move attempt (cycles and dead ends
-    alike) and are discarded when the attempt is accepted or abandoned.
-    """
-
-    __slots__ = ("n", "rows", "cols")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows = [0] * n
-        self.cols = [0] * n
-
-    def is_marked(self, i: int, j: int) -> bool:
-        return (self.rows[i] >> j) & 1 == 1
-
-    def mark(self, i: int, j: int) -> None:
-        self.rows[i] |= 1 << j
-        self.cols[j] |= 1 << i
-
-    def count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def clear(self) -> None:
-        self.rows = [0] * self.n
-        self.cols = [0] * self.n
-
-
-@dataclass(eq=False)
-class Schlaufe:
-    """One alternating walk: its nodes, step roles, cycle, and probability.
-
-    ``nodes[t]`` is the node at position t; ``roles[t]`` alternates
-    "active"/"passive" starting active.  ``cycle`` gives (start, end)
-    positions of the closed sub-walk when the walk ended by revisiting a node
-    in the same role, else None.  ``violation`` is the K x K net arc-count
-    change its switch would cause (zeros for cycle-free walks).  ``log_prob``
-    is the log of the walk's realization probability given the marks it was
-    grown under — diagnostics only, not used by the chain itself.
-    """
-
-    nodes: tuple[int, ...]
-    roles: tuple[str, ...]
-    cycle: Optional[tuple[int, int]]
-    violation: ViolationMatrix
-    log_prob: float
 
 
 class StepInfo(NamedTuple):
@@ -171,6 +108,10 @@ class ChainStats:
         if arc_count == 0:
             return float("nan")
         return self.flips / arc_count
+
+    def __add__(self, other: ChainStats) -> ChainStats:
+        """Tallies of two runs together (e.g. two workers' shares of the draws)."""
+        return ChainStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 # Byte tables for picking the t-th lowest set bit of a candidate mask:
@@ -279,55 +220,6 @@ def _cycle_arc_triples(nodes, bounds):
         else:
             arcs.append((nodes[t + 1], nodes[t], False))
     return arcs
-
-
-def detect_schlaufe(
-    d: AdjacencyMatrix, g: GroupAssignment, marks: LinkMarks, rng
-) -> Schlaufe:
-    """Run one alternating walk on ``d``, extending ``marks`` in place.
-
-    The start node is uniform over all nodes; every subsequent choice is
-    uniform over its feasible set.  The walk ends either by closing a cycle
-    (same node revisited in the same role) or at a dead end.  All traversed
-    links are marked, so repeated calls under the same ``marks`` produce
-    link-disjoint walks.
-    """
-    counts: list[int] = []
-    nodes, bounds = _walk(d.rows, d.cols, d.n, marks.rows, marks.cols, rng, counts)
-    K = g.n_groups
-    violation = np.zeros((K, K), dtype=np.int64)
-    if bounds is not None:
-        codes = g.codes
-        for u, v, present in _cycle_arc_triples(nodes, bounds):
-            violation[codes[u], codes[v]] += -1 if present else 1
-    log_prob = -math.log(d.n) - sum(math.log(c) for c in counts)
-    roles = tuple("active" if t % 2 == 0 else "passive" for t in range(len(nodes)))
-    return Schlaufe(tuple(nodes), roles, bounds, violation, log_prob)
-
-
-def cycle_arcs(schlaufe: Schlaufe) -> list[tuple[int, int, bool]]:
-    """The schlaufe's cycle as arc triples; empty when it has no cycle."""
-    if schlaufe.cycle is None:
-        return []
-    return _cycle_arc_triples(list(schlaufe.nodes), schlaufe.cycle)
-
-
-def violation_of_cycle(
-    arcs: list[tuple[int, int, bool]], g: GroupAssignment
-) -> ViolationMatrix:
-    """Net change of cross-group arc counts if the cycle were switched.
-
-    Each currently-absent arc contributes +1 to its (source group, target
-    group) cell, each currently-present arc -1.  Cycles always produce a
-    matrix whose entries sum to zero (equal numbers of arcs appear and
-    vanish).
-    """
-    K = g.n_groups
-    codes = g.codes
-    out = np.zeros((K, K), dtype=np.int64)
-    for u, v, present in arcs:
-        out[codes[u], codes[v]] += -1 if present else 1
-    return out
 
 
 def switch_cycle(d: AdjacencyMatrix, arcs: list[tuple[int, int, bool]]) -> None:
@@ -459,52 +351,6 @@ def mixing_time_heuristic(
             "switched no arcs (reference set may contain a single network)"
         )
     return max(1, math.ceil(r * L * pilot_steps / stats.flips))
-
-
-# -- diagnostics used by the symmetry checks --------------------------------
-
-
-def reversed_walk(nodes, cycle) -> list[int]:
-    """Node sequence of the reversal: same tail, cycle traversed backwards.
-
-    For a walk (n_0, ..., n_b) whose cycle spans positions a..b (n_a = n_b),
-    the reversal is (n_0, ..., n_a, n_{b-1}, n_{b-2}, ..., n_{a+1}, n_b).  On
-    the switched graph it is a feasible walk of the same probability, which
-    is what makes the move kernel symmetric.
-    """
-    a, b = cycle
-    return list(nodes[: a + 1]) + [nodes[t] for t in range(b - 1, a, -1)] + [nodes[b]]
-
-
-def replay_walk_log_prob(d: AdjacencyMatrix, forced) -> float:
-    """Log-probability of a forced node sequence as an alternating walk on d.
-
-    Replays the sequence from fresh marks, recomputing each step's feasible
-    set; raises ValueError if any forced choice is infeasible.
-    """
-    rows, cols, n = d.rows, d.cols, d.n
-    mrows = [0] * n
-    mcols = [0] * n
-    full = (1 << n) - 1
-    lp = -math.log(n)
-    for t in range(len(forced) - 1):
-        if t % 2 == 0:
-            i, j = forced[t], forced[t + 1]
-            cand = rows[i] & ~mrows[i]
-            if not (cand >> j) & 1:
-                raise ValueError(f"forced active step {i}->{j} is infeasible")
-            lp -= math.log(cand.bit_count())
-            mrows[i] |= 1 << j
-            mcols[j] |= 1 << i
-        else:
-            j, k = forced[t], forced[t + 1]
-            cand = full & ~cols[j] & ~mcols[j] & ~(1 << j)
-            if not (cand >> k) & 1:
-                raise ValueError(f"forced passive step at {j} cannot pick {k}")
-            lp -= math.log(cand.bit_count())
-            mrows[k] |= 1 << j
-            mcols[j] |= 1 << k
-    return lp
 
 
 # -- exhaustive reference sets ----------------------------------------------

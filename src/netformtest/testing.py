@@ -82,11 +82,20 @@ def locally_best_statistic(
     Large values indicate more arcs than the null predicts exactly where the
     interaction term s makes arcs more attractive.
     """
-    mu = systematic_utility(delta, g)
+    return _score(d, _link_probabilities(delta, g), spec.matrix_fn)
+
+
+def _link_probabilities(delta: NuisanceParams, g: GroupAssignment) -> np.ndarray:
+    """Null arc probabilities F(mu_ij); the unused diagonal holds F(0)."""
+    off = ~np.eye(g.n_nodes, dtype=bool)
+    return logistic_cdf(np.where(off, systematic_utility(delta, g), 0.0))
+
+
+def _score(d: AdjacencyMatrix, P: np.ndarray, matrix_fn) -> float:
+    """sum over i != j of (d_ij - P_ij) * s_ij(d), with s from ``matrix_fn``."""
     off = ~np.eye(d.n, dtype=bool)
-    P = logistic_cdf(np.where(off, mu, 0.0))
     dense = d.to_array()
-    S = spec.matrix_fn(dense)
+    S = matrix_fn(dense)
     return float(((dense - P) * S)[off].sum())
 
 
@@ -113,9 +122,8 @@ def theorem2_derivative(
     form of :func:`locally_best_statistic`; keeping both routes separate is
     deliberate so they can be cross-checked.
     """
-    mu = systematic_utility(delta, g)
     off = ~np.eye(d.n, dtype=bool)
-    F = logistic_cdf(np.where(off, mu, 0.0))
+    F = _link_probabilities(delta, g)
     f = F * (1.0 - F)
     dense = d.to_array().astype(float)
     S = spec.matrix_fn(dense).astype(float)
@@ -178,7 +186,7 @@ def exact_reciprocity_likelihood(
     return float(prob)
 
 
-# -- test statistics as picklable descriptions --------------------------------
+# -- test statistics -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -209,44 +217,39 @@ class TestStatisticSpec:
             if self.delta_source == "provided" and self.delta is None:
                 raise ValueError("delta_source='provided' requires delta")
 
-
-def _describe(stat: TestStatisticSpec, observed: AdjacencyMatrix, g: GroupAssignment):
-    """Resolve a statistic to a picklable descriptor (fits the MLE if asked)."""
-    if stat.kind != "locally_best":
-        return {"kind": stat.kind}
-    delta = stat.delta if stat.delta_source == "provided" else mle_null(observed, g)
-    return {
-        "kind": "locally_best",
-        "strategic": stat.strategic,
-        "sender": np.asarray(delta.sender, dtype=float),
-        "receiver": np.asarray(delta.receiver, dtype=float),
-        "mixing": np.asarray(delta.mixing, dtype=float),
-    }
+    def resolve(self, d: AdjacencyMatrix, g: GroupAssignment) -> Statistic:
+        """The statistic for the observed network ``d`` (fits the MLE if asked)."""
+        if self.kind != "locally_best":
+            return Statistic(self.kind)
+        delta = self.delta if self.delta_source == "provided" else mle_null(d, g)
+        return Statistic.score(self.strategic, delta, g)
 
 
-def _build_evaluators(descs, g: GroupAssignment):
-    n = g.n_nodes
-    off = ~np.eye(n, dtype=bool)
-    evaluators = []
-    for desc in descs:
-        kind = desc["kind"]
-        if kind == "locally_best":
-            delta = NuisanceParams(desc["sender"], desc["receiver"], desc["mixing"])
-            mu = systematic_utility(delta, g)
-            P = logistic_cdf(np.where(off, mu, 0.0))
-            spec = strategic_spec(desc["strategic"], n)
+@dataclass(frozen=True, eq=False)
+class Statistic:
+    """A statistic ready to evaluate on the observed network and every draw.
 
-            def ev(d, P=P, spec=spec):
-                dense = d.to_array()
-                S = spec.matrix_fn(dense)
-                return float(((dense - P) * S)[off].sum())
+    It pickles, so worker processes evaluate it too.  The locally best score
+    keeps the name of its strategic term (a :class:`StrategicSpec` holds
+    closures, which do not pickle) and the null link probabilities ``P``,
+    computed once from the nuisance parameters.
+    """
 
-        elif kind == "reciprocity_index":
-            ev = reciprocity_index
-        else:
-            ev = transitivity_index
-        evaluators.append(ev)
-    return evaluators
+    kind: str
+    strategic: Optional[str] = None
+    P: Optional[np.ndarray] = None
+
+    @classmethod
+    def score(cls, strategic: str, delta: NuisanceParams, g: GroupAssignment) -> Statistic:
+        """The locally best score against ``strategic`` under the null ``delta``."""
+        return cls("locally_best", strategic, _link_probabilities(delta, g))
+
+    def __call__(self, d: AdjacencyMatrix) -> float:
+        if self.kind == "reciprocity_index":
+            return reciprocity_index(d)
+        if self.kind == "transitivity_index":
+            return transitivity_index(d)
+        return _score(d, self.P, strategic_spec(self.strategic, d.n).matrix_fn)
 
 
 def statistic_note(kind: str) -> Optional[str]:
@@ -254,6 +257,18 @@ def statistic_note(kind: str) -> Optional[str]:
     if kind == "transitivity_index":
         return TI_NOTE
     return None
+
+
+def add_one_p_value(observed: float, values: np.ndarray) -> float:
+    """(1 + #{values >= observed}) / (#values + 1) over the defined values.
+
+    Undefined (NaN) values are left out; an undefined observed value gives a
+    NaN p-value.
+    """
+    if math.isnan(observed):
+        return float("nan")
+    defined = values[~np.isnan(values)]
+    return (1 + int((defined >= observed).sum())) / (defined.size + 1)
 
 
 # -- reference draws -----------------------------------------------------------
@@ -269,48 +284,83 @@ def _density_only_draw(n: int, n_arcs: int, rng) -> AdjacencyMatrix:
     return d
 
 
-def _draw_chunk(task):
-    """Evaluate statistics on reference draws b_start..b_stop-1 (worker)."""
-    (rows, n, codes, K, reference, tau, q, seed, b_start, b_stop, descs) = task
-    observed = AdjacencyMatrix(n, list(rows))
-    g = GroupAssignment(tuple(codes), K)
-    evaluators = _build_evaluators(descs, g)
-    values = []
-    stats = ChainStats()
-    if reference == "density_only":
-        n_arcs = observed.arc_count()
-        for b in range(b_start, b_stop):
-            rng = substream_random(seed, _NS_DRAW, b)
-            draw = _density_only_draw(n, n_arcs, rng)
-            values.append([ev(draw) for ev in evaluators])
-    else:
-        chain_g = GroupAssignment.single_group(n) if reference == "degree_only" else g
-        cfg = ChainConfig(tau=tau, q=q)
-        for b in range(b_start, b_stop):
-            rng = substream_random(seed, _NS_DRAW, b)
-            draw = markov_draw(observed, chain_g, cfg, rng, stats)
-            values.append([ev(draw) for ev in evaluators])
-    return values, (stats.steps, stats.lazy, stats.accepted, stats.abandoned, stats.flips)
+@dataclass(frozen=True, eq=False)
+class ReferenceDraws:
+    """Draws 0..n_draws-1 from the reference set of ``observed``.
+
+    Draw b of a sampled reference uses its own substream (seed,
+    draw-namespace, b), so any share of the draws can be made in any process
+    with the same result.  ``cfg`` is the chain's walk for "degree_only" and
+    "degree_and_crosslink", with ``g`` the grouping the chain preserves, and
+    None for "density_only".  For "enumerated" the draws are ``members``: the
+    whole reference set minus the observed network.  Build it with
+    :func:`reference_draws`.
+    """
+
+    observed: AdjacencyMatrix
+    g: GroupAssignment
+    reference: str
+    n_draws: int
+    cfg: Optional[ChainConfig] = None
+    seed: Optional[int] = None
+    members: tuple[AdjacencyMatrix, ...] = ()
+
+    def draw(self, b: int, stats: ChainStats) -> AdjacencyMatrix:
+        """Draw b; a chain draw adds its step tallies to ``stats``."""
+        if self.reference == "enumerated":
+            return self.members[b]
+        rng = substream_random(self.seed, _NS_DRAW, b)
+        if self.cfg is None:
+            return _density_only_draw(self.observed.n, self.observed.arc_count(), rng)
+        return markov_draw(self.observed, self.g, self.cfg, rng, stats)
+
+    def values(self, statistics, jobs: int = 1) -> tuple[np.ndarray, ChainStats]:
+        """Every statistic on every draw, as an (n_draws, len(statistics))
+        array in draw order, and the chain's tallies over all draws.
+
+        With ``jobs`` > 1 the sampled draws are split into contiguous chunks,
+        one per worker process; neither result depends on ``jobs``.
+        """
+        per = math.ceil(self.n_draws / jobs) if jobs > 1 else self.n_draws
+        if per >= self.n_draws or self.reference == "enumerated":
+            rows, stats = self._chunk(statistics, 0, self.n_draws)
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [
+                    pool.submit(self._chunk, statistics, lo, min(lo + per, self.n_draws))
+                    for lo in range(0, self.n_draws, per)
+                ]
+                chunks = [f.result() for f in futures]
+            rows = [row for chunk_rows, _ in chunks for row in chunk_rows]
+            stats = sum((chunk_stats for _, chunk_stats in chunks), ChainStats())
+        return np.array(rows, dtype=float).reshape(-1, len(statistics)), stats
+
+    def _chunk(self, statistics, lo: int, hi: int) -> tuple[list, ChainStats]:
+        stats = ChainStats()
+        rows = []
+        for b in range(lo, hi):
+            draw = self.draw(b, stats)
+            rows.append([statistic(draw) for statistic in statistics])
+        return rows, stats
 
 
-def _reference_values(
+def reference_draws(
     observed: AdjacencyMatrix,
     g: GroupAssignment,
-    descs,
     reference: str,
     n_draws: int,
-    cfg: Optional[ChainConfig],
-    seed: Optional[int],
-    jobs: int = 1,
+    cfg: Optional[ChainConfig] = None,
+    seed: Optional[int] = None,
     mixing_r: float = 10.0,
     q: float = 0.5,
-):
-    """Statistic values over reference draws, plus (tau, q, ChainStats|None).
+) -> ReferenceDraws:
+    """Check the settings of a reference and make ready its draws.
 
-    For "enumerated" the draws are the full reference set minus the observed
-    network and ``n_draws``/``cfg``/``seed`` are ignored.  ``mixing_r`` and
-    ``q`` configure the automatic walk-length pilot used when ``cfg`` is
-    None.
+    "enumerated" enumerates the reference set now; ``n_draws``, ``cfg`` and
+    ``seed`` are then ignored.  For the chain references, ``cfg`` None
+    pilot-tunes the walk length on the substream (seed, pilot-namespace) so
+    that each arc is modified about ``mixing_r`` times per draw, with
+    laziness ``q`` in the pilot and in the draws.
     """
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
@@ -319,66 +369,24 @@ def _reference_values(
             degree_sequence(observed), cross_link_matrix(observed, g), g
         )
         obs_key = observed.key()
-        others = [d for d in members if d.key() != obs_key]
+        others = tuple(d for d in members if d.key() != obs_key)
         if len(others) == len(members):
             raise ValueError("observed network missing from its own reference set")
-        evaluators = _build_evaluators(descs, g)
-        values = [[ev(d) for ev in evaluators] for d in others]
-        return values, None, None, None
+        return ReferenceDraws(observed, g, reference, len(others), members=others)
 
     if seed is None:
         raise ValueError(f"reference {reference!r} needs a seed")
     if n_draws < 1:
         raise ValueError("need at least one reference draw")
     if reference == "density_only":
-        tau = q_used = None
-    elif cfg is None:
+        return ReferenceDraws(observed, g, reference, n_draws, seed=seed)
+    if reference == "degree_only":
+        g = GroupAssignment.single_group(observed.n)
+    if cfg is None:
         pilot_rng = substream_random(seed, _NS_PILOT)
-        chain_g = (
-            GroupAssignment.single_group(observed.n)
-            if reference == "degree_only"
-            else g
-        )
-        tau = mixing_time_heuristic(observed, chain_g, r=mixing_r, q=q, rng=pilot_rng)
-        q_used = q
-    else:
-        tau, q_used = cfg.tau, cfg.q
-    task_common = (
-        tuple(observed.rows),
-        observed.n,
-        tuple(g.codes),
-        g.n_groups,
-        reference,
-        tau,
-        q_used,
-        seed,
-    )
-    if jobs <= 1:
-        chunks = [(0, n_draws)]
-    else:
-        per = math.ceil(n_draws / jobs)
-        chunks = [(lo, min(lo + per, n_draws)) for lo in range(0, n_draws, per)]
-    results = []
-    if len(chunks) == 1:
-        results.append(_draw_chunk(task_common + chunks[0] + (descs,)))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_draw_chunk, task_common + chunk + (descs,))
-                for chunk in chunks
-            ]
-            results = [f.result() for f in futures]
-    values = []
-    stats = ChainStats()
-    for vals, tallies in results:
-        values.extend(vals)
-        stats.steps += tallies[0]
-        stats.lazy += tallies[1]
-        stats.accepted += tallies[2]
-        stats.abandoned += tallies[3]
-        stats.flips += tallies[4]
-    chain_stats = stats if reference != "density_only" else None
-    return values, tau, q_used, chain_stats
+        tau = mixing_time_heuristic(observed, g, r=mixing_r, q=q, rng=pilot_rng)
+        cfg = ChainConfig(tau=tau, q=q)
+    return ReferenceDraws(observed, g, reference, n_draws, cfg, seed)
 
 
 # -- conditional p-values -------------------------------------------------------
@@ -407,59 +415,6 @@ class TestResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _result_from_values(
-    kind, observed_value, raw_values, reference, tau, q, seed, chain_stats, arc_count
-) -> TestResult:
-    values = np.asarray(raw_values, dtype=float)
-    defined = values[~np.isnan(values)]
-    missing = int(values.size - defined.size)
-    if missing:
-        warnings.warn(
-            f"{missing} reference draw(s) had an undefined {kind}; "
-            "they are excluded from the null distribution",
-            stacklevel=3,
-        )
-    diagnostics = {"missing_draws": missing}
-    if chain_stats is not None:
-        diagnostics["acceptance_rate"] = chain_stats.acceptance_rate
-        n_chain_draws = max(1, values.size)
-        diagnostics["per_arc_modifications"] = (
-            chain_stats.per_arc_modifications(arc_count) / n_chain_draws
-            if arc_count
-            else float("nan")
-        )
-    else:
-        diagnostics["acceptance_rate"] = None
-        diagnostics["per_arc_modifications"] = None
-    note = statistic_note(kind)
-    if note:
-        diagnostics["statistic_note"] = note
-    if math.isnan(observed_value):
-        warnings.warn(
-            f"the observed {kind} is undefined; p-value is undefined too",
-            stacklevel=3,
-        )
-        p = quant = float("nan")
-    else:
-        p = (1 + int((defined >= observed_value).sum())) / (defined.size + 1)
-        quant = (
-            float((defined <= observed_value).mean()) if defined.size else float("nan")
-        )
-    return TestResult(
-        statistic=kind,
-        observed=float(observed_value),
-        p_value=p,
-        quantile=quant,
-        reference=reference,
-        n_draws=int(defined.size),
-        tau=tau,
-        q=q,
-        seed=seed,
-        null_draws=defined,
-        diagnostics=diagnostics,
-    )
-
-
 def conditional_p_value(
     d: AdjacencyMatrix,
     g: GroupAssignment,
@@ -470,6 +425,7 @@ def conditional_p_value(
     seed: Optional[int] = None,
     jobs: int = 1,
     mixing_r: float = 10.0,
+    q: float = 0.5,
 ) -> TestResult:
     """Monte Carlo conditional test of the no-interaction null.
 
@@ -480,25 +436,57 @@ def conditional_p_value(
     observed network), making the add-one p-value the exact conditional tail
     probability.  When ``cfg`` is None the walk length comes from
     :func:`mixing_time_heuristic` on a pilot run tuned to modify each arc
-    ``mixing_r`` times per draw.  Draw b uses the substream
-    (seed, draw-namespace, b), so results are independent of ``jobs``.
+    ``mixing_r`` times per draw, and the pilot and the draws use laziness
+    ``q``.  Draw b uses the substream (seed, draw-namespace, b), so results
+    are independent of ``jobs``.
     """
-    descs = [_describe(stat, d, g)]
-    values, tau, q, chain_stats = _reference_values(
-        d, g, descs, reference, n_draws, cfg, seed, jobs, mixing_r=mixing_r
+    statistic = stat.resolve(d, g)
+    draws = reference_draws(d, g, reference, n_draws, cfg, seed, mixing_r, q)
+    values, chain_stats = draws.values([statistic], jobs)
+    values = values[:, 0]
+    observed_value = statistic(d)
+    defined = values[~np.isnan(values)]
+    missing = int(values.size - defined.size)
+    if missing:
+        warnings.warn(
+            f"{missing} reference draw(s) had an undefined {stat.kind}; "
+            "they are excluded from the null distribution",
+            stacklevel=2,
+        )
+    diagnostics = {"missing_draws": missing}
+    if draws.cfg is not None:
+        diagnostics["acceptance_rate"] = chain_stats.acceptance_rate
+        diagnostics["per_arc_modifications"] = (
+            chain_stats.per_arc_modifications(d.arc_count()) / draws.n_draws
+        )
+    else:
+        diagnostics["acceptance_rate"] = None
+        diagnostics["per_arc_modifications"] = None
+    note = statistic_note(stat.kind)
+    if note:
+        diagnostics["statistic_note"] = note
+    if math.isnan(observed_value):
+        warnings.warn(
+            f"the observed {stat.kind} is undefined; p-value is undefined too",
+            stacklevel=2,
+        )
+    quantile = (
+        float((defined <= observed_value).mean())
+        if defined.size and not math.isnan(observed_value)
+        else float("nan")
     )
-    evaluators = _build_evaluators(descs, g)
-    observed_value = evaluators[0](d)
-    return _result_from_values(
-        stat.kind,
-        observed_value,
-        [v[0] for v in values],
-        reference,
-        tau,
-        q,
-        seed,
-        chain_stats,
-        d.arc_count(),
+    return TestResult(
+        statistic=stat.kind,
+        observed=float(observed_value),
+        p_value=add_one_p_value(observed_value, defined),
+        quantile=quantile,
+        reference=reference,
+        n_draws=int(defined.size),
+        tau=draws.cfg.tau if draws.cfg else None,
+        q=draws.cfg.q if draws.cfg else None,
+        seed=seed,
+        null_draws=defined,
+        diagnostics=diagnostics,
     )
 
 
@@ -540,12 +528,9 @@ def exact_conditional_critical_values(
         raise ValueError("alpha must lie in (0, 1]")
     if alpha == 1.0:
         return CriticalValues(float("-inf"), 0.0)
-    members = enumerate_reference_set(
-        degree_sequence(d), cross_link_matrix(d, g), g
-    )
-    descs = [_describe(stat, d, g)]
-    ev = _build_evaluators(descs, g)[0]
-    values = np.array([ev(member) for member in members], dtype=float)
+    statistic = stat.resolve(d, g)
+    others, _ = reference_draws(d, g, "enumerated", 0).values([statistic])
+    values = np.append(others[:, 0], statistic(d))
     if np.isnan(values).any():
         raise ValueError(
             "statistic is undefined on part of the reference set; "

@@ -6,11 +6,13 @@ enumerator or the chain shows up as a count mismatch.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 import netformtest as nt
-from netformtest.sampler import StepInfo, switch_cycle
+from netformtest.sampler import StepInfo, _cycle_arc_triples, _walk, switch_cycle
 
 # (name, n, groups, arcs, expected reference-set size)
 CHAIN_FIXTURES = [
@@ -168,6 +170,24 @@ def random_delta(n, K, rng, scale=1.0):
     return nt.NuisanceParams(sender, receiver, mixing)
 
 
+def fittable_network(seed=3, n=12, K=2):
+    """A deterministic dense K-group network whose null MLE exists."""
+    rng = np.random.default_rng(seed)
+    while True:
+        dense = rng.random((n, n)) < 0.45
+        np.fill_diagonal(dense, False)
+        codes = tuple(int(x) for x in rng.integers(0, K, size=n))
+        if len(set(codes)) < K:
+            continue
+        d = nt.AdjacencyMatrix.from_dense(dense)
+        g = nt.GroupAssignment(codes, K)
+        try:
+            nt.mle_null(d, g)
+        except nt.SeparationError:
+            continue
+        return d, g
+
+
 def random_groups(n, K, rng):
     while True:
         codes = tuple(rng.randrange(K) for _ in range(n))
@@ -191,6 +211,156 @@ def brute_force_reference_set(n, s, m, g):
         if degree_sequence(d) == s and cross_link_matrix(d, g).counts == m.counts:
             keys.append(d.key())
     return sorted(keys)
+
+
+# -- sampler oracles: walks, cycles and their probabilities -------------------
+# Test-only views of the chain's walk, used by the probability and symmetry
+# checks in test_sampler.py.
+
+#: K x K integer array; entry (k, l) is the net change in arcs from group k to
+#: group l that switching a cycle would cause.
+ViolationMatrix = np.ndarray
+
+
+class LinkMarks:
+    """Per-attempt record of traversed links, as row/column bitmasks.
+
+    Marks accumulate over all walks of one move attempt (cycles and dead ends
+    alike) and are discarded when the attempt is accepted or abandoned.
+    """
+
+    __slots__ = ("n", "rows", "cols")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows = [0] * n
+        self.cols = [0] * n
+
+    def is_marked(self, i: int, j: int) -> bool:
+        return (self.rows[i] >> j) & 1 == 1
+
+    def mark(self, i: int, j: int) -> None:
+        self.rows[i] |= 1 << j
+        self.cols[j] |= 1 << i
+
+    def count(self) -> int:
+        return sum(r.bit_count() for r in self.rows)
+
+    def clear(self) -> None:
+        self.rows = [0] * self.n
+        self.cols = [0] * self.n
+
+
+@dataclass(eq=False)
+class Schlaufe:
+    """One alternating walk: its nodes, step roles, cycle, and probability.
+
+    ``nodes[t]`` is the node at position t; ``roles[t]`` alternates
+    "active"/"passive" starting active.  ``cycle`` gives (start, end)
+    positions of the closed sub-walk when the walk ended by revisiting a node
+    in the same role, else None.  ``violation`` is the K x K net arc-count
+    change its switch would cause (zeros for cycle-free walks).  ``log_prob``
+    is the log of the walk's realization probability given the marks it was
+    grown under — diagnostics only, not used by the chain itself.
+    """
+
+    nodes: tuple[int, ...]
+    roles: tuple[str, ...]
+    cycle: Optional[tuple[int, int]]
+    violation: ViolationMatrix
+    log_prob: float
+
+
+def detect_schlaufe(
+    d: nt.AdjacencyMatrix, g: nt.GroupAssignment, marks: LinkMarks, rng
+) -> Schlaufe:
+    """Run one alternating walk on ``d``, extending ``marks`` in place.
+
+    The start node is uniform over all nodes; every subsequent choice is
+    uniform over its feasible set.  The walk ends either by closing a cycle
+    (same node revisited in the same role) or at a dead end.  All traversed
+    links are marked, so repeated calls under the same ``marks`` produce
+    link-disjoint walks.
+    """
+    counts: list[int] = []
+    nodes, bounds = _walk(d.rows, d.cols, d.n, marks.rows, marks.cols, rng, counts)
+    K = g.n_groups
+    violation = np.zeros((K, K), dtype=np.int64)
+    if bounds is not None:
+        codes = g.codes
+        for u, v, present in _cycle_arc_triples(nodes, bounds):
+            violation[codes[u], codes[v]] += -1 if present else 1
+    log_prob = -math.log(d.n) - sum(math.log(c) for c in counts)
+    roles = tuple("active" if t % 2 == 0 else "passive" for t in range(len(nodes)))
+    return Schlaufe(tuple(nodes), roles, bounds, violation, log_prob)
+
+
+def cycle_arcs(schlaufe: Schlaufe) -> list[tuple[int, int, bool]]:
+    """The schlaufe's cycle as arc triples; empty when it has no cycle."""
+    if schlaufe.cycle is None:
+        return []
+    return _cycle_arc_triples(list(schlaufe.nodes), schlaufe.cycle)
+
+
+def violation_of_cycle(
+    arcs: list[tuple[int, int, bool]], g: nt.GroupAssignment
+) -> ViolationMatrix:
+    """Net change of cross-group arc counts if the cycle were switched.
+
+    Each currently-absent arc contributes +1 to its (source group, target
+    group) cell, each currently-present arc -1.  Cycles always produce a
+    matrix whose entries sum to zero (equal numbers of arcs appear and
+    vanish).
+    """
+    K = g.n_groups
+    codes = g.codes
+    out = np.zeros((K, K), dtype=np.int64)
+    for u, v, present in arcs:
+        out[codes[u], codes[v]] += -1 if present else 1
+    return out
+
+
+def reversed_walk(nodes, cycle) -> list[int]:
+    """Node sequence of the reversal: same tail, cycle traversed backwards.
+
+    For a walk (n_0, ..., n_b) whose cycle spans positions a..b (n_a = n_b),
+    the reversal is (n_0, ..., n_a, n_{b-1}, n_{b-2}, ..., n_{a+1}, n_b).  On
+    the switched graph it is a feasible walk of the same probability, which
+    is what makes the move kernel symmetric.
+    """
+    a, b = cycle
+    return list(nodes[: a + 1]) + [nodes[t] for t in range(b - 1, a, -1)] + [nodes[b]]
+
+
+def replay_walk_log_prob(d: nt.AdjacencyMatrix, forced) -> float:
+    """Log-probability of a forced node sequence as an alternating walk on d.
+
+    Replays the sequence from fresh marks, recomputing each step's feasible
+    set; raises ValueError if any forced choice is infeasible.
+    """
+    rows, cols, n = d.rows, d.cols, d.n
+    mrows = [0] * n
+    mcols = [0] * n
+    full = (1 << n) - 1
+    lp = -math.log(n)
+    for t in range(len(forced) - 1):
+        if t % 2 == 0:
+            i, j = forced[t], forced[t + 1]
+            cand = rows[i] & ~mrows[i]
+            if not (cand >> j) & 1:
+                raise ValueError(f"forced active step {i}->{j} is infeasible")
+            lp -= math.log(cand.bit_count())
+            mrows[i] |= 1 << j
+            mcols[j] |= 1 << i
+        else:
+            j, k = forced[t], forced[t + 1]
+            cand = full & ~cols[j] & ~mcols[j] & ~(1 << j)
+            if not (cand >> k) & 1:
+                raise ValueError(f"forced passive step at {j} cannot pick {k}")
+            lp -= math.log(cand.bit_count())
+            mrows[k] |= 1 << j
+            mcols[j] |= 1 << k
+    return lp
 
 
 # -- reference chain: the oracle for the sampler's optimised walk -------------

@@ -20,7 +20,9 @@ criterion.  The battery pins, end to end, what the package promises:
 
 Most tests are frozen-seed Monte Carlo runs; expected runtimes are noted on
 each test (about nine minutes total on one core, dominated by the uniformity
-sweep and the desk-scale power experiment).
+sweep and the desk-scale power experiment).  Criteria 1, 2, 9 and 10 carry
+the ``slow`` marker, so ``pytest -m "not slow"`` leaves them out of a quick
+loop; a plain ``pytest`` still runs them.
 
 Criterion 8 checks the null summaries of the study design at n = 48: the
 mean density and transitivity against their advertised bands, and the mean
@@ -69,6 +71,7 @@ SPEC_KINDS = ("reciprocity", "transitivity", "customer_product")
 # -- criterion 1: exact invariance over a million steps (about 25 s) --------------
 
 
+@pytest.mark.slow
 def test_01_million_steps_preserve_the_conditioning_statistics():
     rng = random.Random(2026)
     n = 20
@@ -108,6 +111,7 @@ UNIFORMITY_TAU = {
 }
 
 
+@pytest.mark.slow
 def test_02_sampled_draws_are_uniform_over_enumerated_reference_sets():
     assert len(CHAIN_FIXTURES) >= 5
     n_draws = 50_000
@@ -325,6 +329,7 @@ def desk_scale_power():
     return cfg, table, elapsed
 
 
+@pytest.mark.slow
 def test_09_feasible_locally_best_test_has_nominal_size(desk_scale_power):
     cfg, table, elapsed = desk_scale_power
     assert elapsed < 1800.0, f"experiment took {elapsed:.0f} s"
@@ -336,6 +341,7 @@ def test_09_feasible_locally_best_test_has_nominal_size(desk_scale_power):
     )
 
 
+@pytest.mark.slow
 def test_10_power_separates_the_statistics_at_the_top_default_gamma(desk_scale_power):
     cfg, table, _ = desk_scale_power
     top = cfg.gammas[-1]

@@ -21,7 +21,7 @@ import netformtest.cli
 from netformtest.cli import main
 from netformtest.model import logistic_cdf
 
-from _fixtures import CHAIN_FIXTURES, build_fixture
+from _fixtures import CHAIN_FIXTURES, build_fixture, fittable_network
 
 N4_CYCLE = CHAIN_FIXTURES[0]
 N4_K2 = CHAIN_FIXTURES[2]
@@ -52,21 +52,7 @@ def read_csv_rows(path):
 @pytest.fixture(scope="module")
 def interior12(tmp_path_factory):
     """A 12-node two-group network whose null MLE exists, written to disk."""
-    rng = np.random.default_rng(3)
-    n, K = 12, 2
-    while True:
-        dense = rng.random((n, n)) < 0.45
-        np.fill_diagonal(dense, False)
-        codes = tuple(int(x) for x in rng.integers(0, K, size=n))
-        if len(set(codes)) < K:
-            continue
-        d = nt.AdjacencyMatrix.from_dense(dense)
-        g = nt.GroupAssignment(codes, K)
-        try:
-            nt.mle_null(d, g)
-        except nt.SeparationError:
-            continue
-        break
+    d, g = fittable_network()
     root = tmp_path_factory.mktemp("interior12")
     write_edges(root / "edges.csv", d.arcs())
     write_nodes(root / "nodes.csv", g.codes)
@@ -211,6 +197,40 @@ def test_sample_with_one_based_ids_shifts_both_ways(tmp_path):
         (r["draw"], str(int(r["source"]) + 1), str(int(r["target"]) + 1)) for r in rows0
     ]
     assert shifted == [(r["draw"], r["source"], r["target"]) for r in rows1]
+
+
+@pytest.mark.parametrize("q", ["0.5", "0.2"])
+def test_test_and_sample_tune_and_draw_the_same_walk(tmp_path, interior12, q):
+    """Without --tau, --q sets the laziness of the pilot and of the draws in
+    both subcommands, so the same inputs and seed give the same draws."""
+    d, g, edges, nodes = interior12
+    common = [
+        "--edges", str(edges),
+        "--nodes", str(nodes),
+        "--draws", "6",
+        "--tau-auto", "1",
+        "--q", q,
+        "--seed", "23",
+    ]
+    test_out, sample_out = tmp_path / "test", tmp_path / "sample"
+    assert main(["test", "--statistic", "ti", "--jobs", "1", "--out", str(test_out)] + common) == 0
+    assert main(["sample", "--out", str(sample_out)] + common) == 0
+    result = json.loads((test_out / "result.json").read_text())
+    sampled = read_manifest(sample_out)["config"]
+    assert result["q"] == sampled["q"] == float(q)
+    assert result["tau"] == sampled["tau"] == read_manifest(test_out)["config"]["tau"]
+    _, rows = read_csv_rows(sample_out / "draws.csv")
+    expected = [
+        nt.transitivity_index(
+            nt.from_edge_list(
+                [(int(r["source"]), int(r["target"])) for r in rows if r["draw"] == str(b)],
+                d.n,
+            )
+        )
+        for b in range(6)
+    ]
+    _, null_rows = read_csv_rows(test_out / "null_draws.csv")
+    assert [float(r["value"]) for r in null_rows] == expected
 
 
 # -- fit -------------------------------------------------------------------------
@@ -455,6 +475,22 @@ def test_bad_experiment_settings_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["sample"], ["test", "--statistic", "reciprocity"]], ids=["sample", "test"]
+)
+def test_zero_draws_exit_with_code_3(tmp_path, capsys, command):
+    write_edges(tmp_path / "edges.csv", N4_CYCLE[3])
+    out = tmp_path / "o"
+    code = main(
+        command
+        + ["--edges", str(tmp_path / "edges.csv"), "--draws", "0", "--tau", "5"]
+        + ["--out", str(out), "--seed", "1"]
+    )
+    assert code == 3
+    assert "need at least one reference draw" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_separated_network_exits_with_code_4(tmp_path, capsys):

@@ -208,3 +208,22 @@ def test_alpha_below_the_p_value_floor_never_rejects():
         assert row.n_used == 3
         assert row.rejections == 0
         assert row.reject_rate == 0.0
+
+
+def test_enumerated_reference_handles_a_network_alone_in_its_set():
+    # at n = 5 some replications draw a network that is the only member of its
+    # reference set; with no other member its add-one p-value is 1, so the
+    # replication counts as used and does not reject
+    cfg = nt.ExperimentConfig(
+        n_nodes=5,
+        n_reps=4,
+        n_draws=5,
+        alpha=0.3,
+        gammas=(0.0,),
+        statistics=("transitivity_index", "reciprocity_index"),
+        reference="enumerated",
+    )
+    table = nt.run_experiment(cfg, seed=6)
+    for row in table.rows:
+        assert row.n_used == 4 and row.n_failures == 0
+        assert 0 <= row.rejections <= row.n_used

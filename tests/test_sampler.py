@@ -20,29 +20,29 @@ from netformtest.sampler import (
     ChainConfig,
     ChainStats,
     FrozenChainError,
-    LinkMarks,
     StepInfo,
-    cycle_arcs,
-    detect_schlaufe,
     enumerate_reference_set,
     markov_draw,
     markov_step,
     mixing_time_heuristic,
-    replay_walk_log_prob,
-    reversed_walk,
     switch_cycle,
-    violation_of_cycle,
 )
 from netformtest.sampler import _select_bit, _walk
 
 from _fixtures import (
     CHAIN_FIXTURES,
+    LinkMarks,
     brute_force_reference_set,
     build_fixture,
+    cycle_arcs,
+    detect_schlaufe,
     random_digraph,
     random_groups,
     reference_step,
     reference_walk,
+    replay_walk_log_prob,
+    reversed_walk,
+    violation_of_cycle,
 )
 
 
