@@ -47,6 +47,17 @@ class DuplicateArcWarning(UserWarning):
     """Emitted when an edge list contains repeated arcs (collapsed to one)."""
 
 
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """One bitmask per row of a 2-D boolean array: bit j of mask i is bits[i, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data = packed.tobytes()
+    width = packed.shape[1]
+    return [
+        int.from_bytes(data[k : k + width], "little")
+        for k in range(0, len(data), width)
+    ]
+
+
 class AdjacencyMatrix:
     """Square 0/1 arc indicator matrix with a structurally zero diagonal.
 
@@ -95,11 +106,20 @@ class AdjacencyMatrix:
         arr = np.asarray(array)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("adjacency array must be square")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         n = arr.shape[0]
-        rows = [int(sum(1 << j for j in range(n) if arr[i, j])) for i in range(n)]
-        return cls(n, rows)
+        if n < 1:
+            raise ValueError("need at least one node")
+        loops = np.flatnonzero(np.diagonal(arr))
+        if loops.size:
+            raise ValueError(f"self-loop at node {loops[0]}")
+        bits = arr != 0
+        d = cls.__new__(cls)
+        d.n = n
+        d.rows = _row_masks(bits)
+        d.cols = _row_masks(np.ascontiguousarray(bits.T))
+        return d
 
     def copy(self) -> "AdjacencyMatrix":
         dup = AdjacencyMatrix.__new__(AdjacencyMatrix)
@@ -320,16 +340,10 @@ def cross_link_matrix(d: AdjacencyMatrix, g: GroupAssignment) -> CrossLinkMatrix
 
 def dyad_census(d: AdjacencyMatrix) -> DyadCensus:
     """Classify each unordered pair {i, j} as mutual, asymmetric, or null."""
-    mutual = asym = 0
-    rows = d.rows
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            ij = (rows[i] >> j) & 1
-            ji = (rows[j] >> i) & 1
-            if ij and ji:
-                mutual += 1
-            elif ij or ji:
-                asym += 1
+    # rows[i] & cols[i] marks the j with both i -> j and j -> i; each mutual
+    # dyad is seen from both of its ends.
+    mutual = sum((row & col).bit_count() for row, col in zip(d.rows, d.cols)) // 2
+    asym = d.arc_count() - 2 * mutual
     n_dyads = d.n * (d.n - 1) // 2
     return DyadCensus(mutual, asym, n_dyads - mutual - asym)
 
@@ -354,7 +368,9 @@ def transitivity_index(d: AdjacencyMatrix) -> float:
     whose closing arc i->j is present.  Returns NaN when the graph has no
     such two-path (the ratio is undefined).
     """
-    a = d.to_array().astype(np.int64)
+    # float64 runs the product in BLAS and is exact: every count is at most
+    # n - 2, and every sum at most n**3, far below 2**53.
+    a = d.to_array().astype(np.float64)
     two_paths = a @ a
     n_paths = int(two_paths.sum() - np.trace(two_paths))
     if n_paths == 0:

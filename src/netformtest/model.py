@@ -139,6 +139,10 @@ class StrategicSpec:
     and ``s_max`` bound the attainable values; ``monotone`` says whether s is
     non-decreasing in every other arc, which is what guarantees existence of
     a least equilibrium under gamma >= 0.
+
+    The values of ``matrix_fn`` are integers, but not always of an integer
+    dtype: transitivity returns float64 so that its matrix product runs in
+    BLAS, and that is exact while the counts stay below 2**53.
     """
 
     kind: str
@@ -168,7 +172,7 @@ def transitivity_spec(n: int) -> StrategicSpec:
         return (d.rows[i] & d.cols[j]).bit_count()
 
     def matrix(a):
-        a = a.astype(np.int64)
+        a = a.astype(np.float64)
         return a @ a
 
     return StrategicSpec("transitivity", pair, matrix, 0, max(0, n - 2))

@@ -275,13 +275,13 @@ def add_one_p_value(observed: float, values: np.ndarray) -> float:
 
 
 def _density_only_draw(n: int, n_arcs: int, rng) -> AdjacencyMatrix:
+    """A uniform digraph with ``n_arcs`` arcs: ``rng`` picks that many distinct
+    off-diagonal positions, numbered row by row."""
     positions = rng.sample(range(n * (n - 1)), n_arcs)
-    d = AdjacencyMatrix(n)
-    for pos in positions:
-        i, rem = divmod(pos, n - 1)
-        j = rem if rem < i else rem + 1
-        d.add_arc(i, j)
-    return d
+    i, rem = np.divmod(np.array(positions, dtype=np.intp), n - 1)
+    dense = np.zeros((n, n), dtype=np.uint8)
+    dense[i, rem + (rem >= i)] = 1
+    return AdjacencyMatrix.from_dense(dense)
 
 
 @dataclass(frozen=True, eq=False)

@@ -163,6 +163,45 @@ def random_digraph(n, p, rng):
     return d
 
 
+def dense_oracle(array):
+    """``AdjacencyMatrix.from_dense`` built entry by entry with ``set_arc``."""
+    n = len(array)
+    d = nt.AdjacencyMatrix.zeros(n)
+    for i in range(n):
+        for j in range(n):
+            if array[i][j]:
+                d.set_arc(i, j, True)
+    return d
+
+
+def density_draw_oracle(n, n_arcs, rng):
+    """The density-reference draw placed arc by arc: the same ``rng.sample``
+    of row-major off-diagonal positions, each mapped to its arc."""
+    positions = rng.sample(range(n * (n - 1)), n_arcs)
+    d = nt.AdjacencyMatrix(n)
+    for pos in positions:
+        i, rem = divmod(pos, n - 1)
+        j = rem if rem < i else rem + 1
+        d.add_arc(i, j)
+    return d
+
+
+def dyad_census_oracle(d):
+    """The dyad census by a scan over every unordered pair."""
+    mutual = asym = 0
+    rows = d.rows
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            ij = (rows[i] >> j) & 1
+            ji = (rows[j] >> i) & 1
+            if ij and ji:
+                mutual += 1
+            elif ij or ji:
+                asym += 1
+    n_dyads = d.n * (d.n - 1) // 2
+    return nt.DyadCensus(mutual, asym, n_dyads - mutual - asym)
+
+
 def random_delta(n, K, rng, scale=1.0):
     sender = np.array([rng.gauss(0.0, scale) for _ in range(n)])
     receiver = np.array([rng.gauss(0.0, scale) for _ in range(n)])

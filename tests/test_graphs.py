@@ -18,7 +18,10 @@ from netformtest.graphs import (
     write_edge_csv,
 )
 
-from _fixtures import random_digraph
+from _fixtures import dense_oracle, dyad_census_oracle, random_digraph
+
+# Sizes on either side of the byte and 64-bit word boundaries of the bitmasks.
+BOUNDARY_SIZES = (1, 2, 3, 7, 8, 9, 63, 64, 65, 96)
 
 
 # -- construction -------------------------------------------------------------
@@ -58,6 +61,38 @@ def test_diagonal_flip_rejected():
     d = nt.AdjacencyMatrix.zeros(3)
     with pytest.raises(ValueError):
         d.set_arc(1, 1, True)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_from_dense_matches_the_set_arc_oracle(n, dtype):
+    rng = np.random.default_rng(n)
+    off = ~np.eye(n, dtype=bool)
+    for dense in (rng.random((n, n)) < 0.3, rng.random((n, n)) < 0.8, off, ~off):
+        dense = (dense & off).astype(dtype)
+        d = nt.AdjacencyMatrix.from_dense(dense)
+        expected = dense_oracle(dense)
+        assert d.n == n
+        assert d.rows == expected.rows
+        assert d.cols == expected.cols
+
+
+@pytest.mark.parametrize(
+    "array, message",
+    [
+        (np.zeros((3, 4), dtype=np.uint8), "adjacency array must be square"),
+        (np.zeros(3, dtype=np.uint8), "adjacency array must be square"),
+        ([[0, 2], [1, 0]], "adjacency entries must be 0 or 1"),
+        ([[0, -1], [1, 0]], "adjacency entries must be 0 or 1"),
+        ([[0, 0.5], [1, 0]], "adjacency entries must be 0 or 1"),
+        ([[0, 1, 0], [1, 0, 0], [0, 1, 1]], "self-loop at node 2"),
+        (np.ones((4, 4), dtype=bool), "self-loop at node 0"),
+        (np.zeros((0, 0), dtype=np.uint8), "need at least one node"),
+    ],
+)
+def test_from_dense_rejects_malformed_arrays(array, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nt.AdjacencyMatrix.from_dense(array)
 
 
 def test_switch_arc_is_involution():
@@ -181,6 +216,16 @@ def test_dyad_census_empty_and_complete():
     assert dyad_census(nt.AdjacencyMatrix.zeros(5)) == nt.DyadCensus(0, 0, 10)
     complete = nt.AdjacencyMatrix.from_dense(1 - np.eye(5, dtype=int))
     assert dyad_census(complete) == nt.DyadCensus(10, 0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 64, 65])
+def test_dyad_census_matches_the_pair_scan(n):
+    rng = random.Random(n)
+    graphs = [random_digraph(n, p, rng) for p in (0.1, 0.5, 0.9)]
+    graphs.append(nt.AdjacencyMatrix.zeros(n))
+    graphs.append(nt.AdjacencyMatrix.from_dense(1 - np.eye(n, dtype=np.uint8)))
+    for d in graphs:
+        assert dyad_census(d) == dyad_census_oracle(d)
 
 
 def test_dyad_census_total_identity():

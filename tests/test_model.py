@@ -171,6 +171,18 @@ def test_pair_and_matrix_forms_agree():
                 for j in range(n):
                     if i != j:
                         assert s[i, j] == spec.pair_fn(d, i, j)
+    # The complete digraph at n = 200 has the largest two-path counts; the
+    # float64 products must equal the int64 product exactly.
+    n = 200
+    a = 1 - np.eye(n, dtype=np.uint8)
+    a64 = a.astype(np.int64)
+    two_paths = a64 @ a64
+    s = nt.strategic_spec("transitivity", n).matrix_fn(a)
+    assert np.array_equal(s, two_paths)
+    n_paths = int(two_paths.sum() - np.trace(two_paths))
+    n_closed = int((two_paths * a64).sum())
+    d = nt.AdjacencyMatrix.from_dense(a)
+    assert nt.transitivity_index(d) == n_closed / n_paths
 
 
 def test_own_arc_never_enters_the_strategic_term():

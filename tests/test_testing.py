@@ -26,6 +26,7 @@ from netformtest.testing import (
 from _fixtures import (
     CHAIN_FIXTURES,
     build_fixture,
+    density_draw_oracle,
     dyad_likelihood_oracle,
     fittable_network,
     logistic,
@@ -441,6 +442,20 @@ def test_density_only_reference_fixes_exactly_the_arc_count():
         if draw.out_degrees() != d.out_degrees():
             saw_other_degrees = True
     assert saw_other_degrees
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 96])
+def test_density_only_draw_matches_the_arc_by_arc_oracle(n):
+    n_pos = n * (n - 1)
+    for n_arcs in sorted({0, min(1, n_pos), n_pos // 3, n_pos}):
+        rng, oracle_rng = random.Random(n_arcs), random.Random(n_arcs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draw = _density_only_draw(n, n_arcs, rng)
+        expected = density_draw_oracle(n, n_arcs, oracle_rng)
+        assert draw.rows == expected.rows
+        assert draw.cols == expected.cols
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_density_only_draws_are_uniform_over_arc_placements():
