@@ -10,10 +10,13 @@ n, and a cross-node in-degree standard deviation around 4.1 at n = 24 (about
 
 A replication simulates an observed network at a given interaction strength
 gamma (the null simulator when gamma = 0, otherwise the least-equilibrium
-simulator), fits the null MLE, draws one batch of reference networks, and
-evaluates every requested statistic on the same draws.  Replications whose
-MLE separates (or whose sampler freezes) are recorded as failures and
-excluded from the rejection rates, with counts reported.
+simulator), fits the null MLE, evaluates every requested statistic on it and
+then on the same reference draws, one at a time.  Only the decisions "p-value
+<= alpha" are kept, so drawing stops as soon as no remaining draw can make any
+statistic reject (Besag & Clifford 1991): every decision, and so every power
+table, is the same as with all ``n_draws`` draws.  Replications whose MLE
+separates (or whose sampler freezes) are recorded as failures and excluded
+from the rejection rates, with counts reported.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .model import (
     strategic_spec,
 )
 from .sampler import FrozenChainError
-from .testing import Statistic, add_one_p_value, reference_draws
+from .testing import Statistic, add_one_p_value, decided_at, reference_draws
 
 __all__ = [
     "CalibrationRow",
@@ -111,6 +114,12 @@ def table1_calibration() -> list[CalibrationRow]:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Desk-scale defaults; raise n_reps/n_draws for study-scale runs.
+
+    ``n_draws`` is the number of reference draws each p-value is taken over,
+    and so the most draws a replication makes: it stops earlier once no
+    remaining draw can make any statistic reject.  With
+    ``reference="enumerated"`` the reference set minus the observed network
+    takes its place.
 
     ``mixing_r`` is the average number of times each arc should be modified
     between reference draws (the power-study protocol uses 1; data analyses
@@ -207,6 +216,7 @@ def _replication(cfg: ExperimentConfig, seed: int, gamma_index: int, rep: int):
                 statistics.append(Statistic(name))
     except SeparationError:
         return None
+    observed_values = [statistic(observed) for statistic in statistics]
 
     chain_seed = int.from_bytes(
         seed_sequence(seed, _NS_CHAIN, gamma_index, rep).generate_state(4).tobytes(),
@@ -222,12 +232,13 @@ def _replication(cfg: ExperimentConfig, seed: int, gamma_index: int, rep: int):
             mixing_r=cfg.mixing_r,
             q=cfg.q,
         )
-        values, _ = draws.values(statistics)
+        stop = decided_at(cfg.alpha, observed_values, draws.n_draws)
+        values, _ = draws.values(statistics, stop=stop)
     except FrozenChainError:
         return None
     return {
-        name: add_one_p_value(statistic(observed), column) <= cfg.alpha
-        for name, statistic, column in zip(cfg.statistics, statistics, values.T)
+        name: add_one_p_value(x, column) <= cfg.alpha
+        for name, x, column in zip(cfg.statistics, observed_values, values.T)
     }
 
 

@@ -271,6 +271,38 @@ def add_one_p_value(observed: float, values: np.ndarray) -> float:
     return (1 + int((defined >= observed).sum())) / (defined.size + 1)
 
 
+def decided_at(alpha: float, observed, n_draws: int):
+    """Stop rule for :meth:`ReferenceDraws.values` when only the decisions
+    ``add_one_p_value(observed[j], values[:, j]) <= alpha`` over ``n_draws``
+    draws matter (Besag & Clifford 1991, "Sequential Monte Carlo p-values").
+
+    With e draws so far at or above an observed value, the final p-value is
+    at least (1 + e) / (n_draws + 1): later draws only add exceedances, and
+    undefined ones only shrink the denominator.  Float division is monotone,
+    so once that bound exceeds ``alpha`` for every statistic, or the
+    observed value is undefined, no further draw can turn any decision into
+    a rejection, and every p-value over the draws made so far exceeds
+    ``alpha`` too.  The rule keeps a running count, so give each call of
+    :meth:`ReferenceDraws.values` a fresh one.
+    """
+    exceedances = [0] * len(observed)
+    seen = 0
+
+    def decided(rows) -> bool:
+        nonlocal seen
+        for row in rows[seen:]:
+            for j, (value, x) in enumerate(zip(row, observed)):
+                if value >= x:
+                    exceedances[j] += 1
+        seen = len(rows)
+        return all(
+            math.isnan(x) or (1 + e) / (n_draws + 1) > alpha
+            for x, e in zip(observed, exceedances)
+        )
+
+    return decided
+
+
 # -- reference draws -----------------------------------------------------------
 
 
@@ -314,16 +346,21 @@ class ReferenceDraws:
             return _density_only_draw(self.observed.n, self.observed.arc_count(), rng)
         return markov_draw(self.observed, self.g, self.cfg, rng, stats)
 
-    def values(self, statistics, jobs: int = 1) -> tuple[np.ndarray, ChainStats]:
+    def values(self, statistics, jobs: int = 1, stop=None) -> tuple[np.ndarray, ChainStats]:
         """Every statistic on every draw, as an (n_draws, len(statistics))
-        array in draw order, and the chain's tallies over all draws.
+        array in draw order, and the chain's tallies over the draws made.
 
         With ``jobs`` > 1 the sampled draws are split into contiguous chunks,
         one per worker process; neither result depends on ``jobs``.
+
+        ``stop``, if given, is asked before each draw with the rows made so
+        far, and drawing ends at its first True: the array then has only the
+        rows of draws 0..m-1.  With a stop rule every draw is made in order in
+        this process, whatever ``jobs``.
         """
         per = math.ceil(self.n_draws / jobs) if jobs > 1 else self.n_draws
-        if per >= self.n_draws or self.reference == "enumerated":
-            rows, stats = self._chunk(statistics, 0, self.n_draws)
+        if stop is not None or per >= self.n_draws or self.reference == "enumerated":
+            rows, stats = self._chunk(statistics, 0, self.n_draws, stop)
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = [
@@ -335,10 +372,12 @@ class ReferenceDraws:
             stats = sum((chunk_stats for _, chunk_stats in chunks), ChainStats())
         return np.array(rows, dtype=float).reshape(-1, len(statistics)), stats
 
-    def _chunk(self, statistics, lo: int, hi: int) -> tuple[list, ChainStats]:
+    def _chunk(self, statistics, lo: int, hi: int, stop=None) -> tuple[list, ChainStats]:
         stats = ChainStats()
         rows = []
         for b in range(lo, hi):
+            if stop is not None and stop(rows):
+                break
             draw = self.draw(b, stats)
             rows.append([statistic(draw) for statistic in statistics])
         return rows, stats

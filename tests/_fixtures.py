@@ -12,7 +12,10 @@ from typing import Optional
 import numpy as np
 
 import netformtest as nt
+from netformtest import harness
+from netformtest._rng import seed_sequence, substream_generator
 from netformtest.sampler import StepInfo, _cycle_arc_triples, _walk, switch_cycle
+from netformtest.testing import Statistic, add_one_p_value, reference_draws
 
 # (name, n, groups, arcs, expected reference-set size)
 CHAIN_FIXTURES = [
@@ -500,3 +503,58 @@ def reference_step(d, g, cfg, rng):
         if rng.random() < 0.5:
             continue
         return StepInfo("abandoned", n_walks, 0)
+
+
+def full_replication(cfg, seed, gamma_index, rep):
+    """One power-study replication that makes all ``n_draws`` reference draws
+    before deciding; the oracle for the curtailed ``harness._replication``.
+
+    It builds the cell from the same substreams and returns the same
+    statistic name -> rejected mapping, or None for a failed replication.
+    """
+    gamma = cfg.gammas[gamma_index]
+    rng_pop = substream_generator(seed, harness._NS_POPULATION, gamma_index, rep)
+    delta_true, g = harness.study_population(cfg.n_nodes, rng_pop)
+    rng_shocks = substream_generator(seed, harness._NS_SHOCKS, gamma_index, rep)
+    spec = nt.strategic_spec(cfg.strategic, cfg.n_nodes)
+    if gamma == 0.0:
+        observed = nt.simulate_null(delta_true, g, rng_shocks)
+    else:
+        observed = nt.simulate_alternative(delta_true, gamma, spec, g, rng_shocks)
+
+    statistics = []
+    try:
+        for name in cfg.statistics:
+            if name == "locally_best_fitted":
+                delta_hat = nt.mle_null(observed, g)
+                statistics.append(Statistic.score(cfg.strategic, delta_hat, g))
+            elif name == "locally_best_true":
+                statistics.append(Statistic.score(cfg.strategic, delta_true, g))
+            else:
+                statistics.append(Statistic(name))
+    except nt.SeparationError:
+        return None
+
+    chain_seed = int.from_bytes(
+        seed_sequence(seed, harness._NS_CHAIN, gamma_index, rep)
+        .generate_state(4)
+        .tobytes(),
+        "little",
+    )
+    try:
+        draws = reference_draws(
+            observed,
+            g,
+            cfg.reference,
+            cfg.n_draws,
+            seed=chain_seed,
+            mixing_r=cfg.mixing_r,
+            q=cfg.q,
+        )
+        values, _ = draws.values(statistics)
+    except nt.FrozenChainError:
+        return None
+    return {
+        name: add_one_p_value(statistic(observed), column) <= cfg.alpha
+        for name, statistic, column in zip(cfg.statistics, statistics, values.T)
+    }

@@ -7,8 +7,11 @@ import pytest
 from scipy import stats as sps
 
 import netformtest as nt
+from netformtest import harness, testing
 from netformtest.harness import STUDY_MIXING, study_population
 from netformtest.model import logistic_cdf, simulate_null
+
+from _fixtures import full_replication
 
 # -- calibration table ----------------------------------------------------------
 
@@ -227,3 +230,122 @@ def test_enumerated_reference_handles_a_network_alone_in_its_set():
     for row in table.rows:
         assert row.n_used == 4 and row.n_failures == 0
         assert 0 <= row.rejections <= row.n_used
+
+
+# -- curtailed replications ------------------------------------------------------
+
+ALL_STATISTICS = (
+    "locally_best_fitted",
+    "locally_best_true",
+    "transitivity_index",
+    "reciprocity_index",
+)
+
+CURTAILMENT_CASES = {
+    # alpha on the p-value lattice: 1/20 and 2/40 equal 0.05 exactly
+    "crosslink_b19": dict(n_draws=19, statistics=ALL_STATISTICS),
+    "degree_only_b39": dict(n_draws=39, statistics=ALL_STATISTICS, reference="degree_only"),
+    # at n = 4 many observed networks and draws have no two-path (transitivity
+    # undefined) and some are empty (reciprocity undefined); at alpha = 4/20
+    # some statistics reject despite undefined draws
+    "density_undefined": dict(
+        n_nodes=4,
+        n_reps=60,
+        n_draws=19,
+        alpha=0.2,
+        gammas=(0.0, 0.5),
+        statistics=("locally_best_true", "transitivity_index", "reciprocity_index"),
+        reference="density_only",
+    ),
+    # the enumerated reference uses the whole set, which is often larger
+    # than n_draws at n = 6
+    "enumerated_n6": dict(
+        n_nodes=6,
+        n_reps=60,
+        n_draws=5,
+        alpha=0.1,
+        gammas=(0.0, 0.5),
+        statistics=("locally_best_true", "transitivity_index", "reciprocity_index"),
+        reference="enumerated",
+    ),
+}
+
+
+def _curtailment_config(case):
+    settings = dict(n_nodes=24, n_reps=8, alpha=0.05, gammas=(0.0, 0.3))
+    settings.update(CURTAILMENT_CASES[case])
+    return nt.ExperimentConfig(**settings)
+
+
+@pytest.mark.parametrize("case", sorted(CURTAILMENT_CASES))
+def test_curtailed_replications_equal_the_full_draw_replications(case):
+    cfg = _curtailment_config(case)
+    for gamma_index in range(len(cfg.gammas)):
+        for rep in range(cfg.n_reps):
+            assert harness._replication(cfg, 41, gamma_index, rep) == full_replication(
+                cfg, 41, gamma_index, rep
+            )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", sorted(CURTAILMENT_CASES))
+def test_curtailed_tables_equal_the_full_draw_tables(monkeypatch, case, jobs):
+    cfg = _curtailment_config(case)
+    curtailed = nt.run_experiment(cfg, seed=41, jobs=jobs)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_replication", full_replication)
+        full = nt.run_experiment(cfg, seed=41, jobs=jobs)
+    assert curtailed == full
+    # some statistic rejects, so a rule that stops too early shows
+    assert sum(row.rejections for row in full.rows) > 0
+
+
+@pytest.fixture
+def draw_counts(monkeypatch):
+    """Counts of reference draws and tau pilots made while the test runs."""
+    counts = {"draws": 0, "pilots": 0}
+    draw = testing.ReferenceDraws.draw
+    pilot = testing.mixing_time_heuristic
+
+    def counted_draw(self, b, stats):
+        counts["draws"] += 1
+        return draw(self, b, stats)
+
+    def counted_pilot(*args, **kwargs):
+        counts["pilots"] += 1
+        return pilot(*args, **kwargs)
+
+    monkeypatch.setattr(testing.ReferenceDraws, "draw", counted_draw)
+    monkeypatch.setattr(testing, "mixing_time_heuristic", counted_pilot)
+    return counts
+
+
+def test_null_replications_stop_drawing_early(draw_counts):
+    cfg = nt.ExperimentConfig(
+        n_nodes=16,
+        n_reps=6,
+        n_draws=39,
+        gammas=(0.0,),
+        statistics=("transitivity_index",),
+    )
+    (row,) = nt.run_experiment(cfg, seed=43).rows
+    assert row.n_used == cfg.n_reps
+    assert draw_counts["pilots"] == cfg.n_reps
+    assert 0 < draw_counts["draws"] < cfg.n_reps * cfg.n_draws
+
+
+def test_alpha_below_the_p_value_floor_makes_no_draws(draw_counts):
+    # 1/(n_draws + 1) = 1/31 > 0.02 before any draw, yet each replication
+    # still runs its pilot, so a frozen chain is still counted as a failure
+    cfg = nt.ExperimentConfig(
+        n_nodes=16,
+        n_reps=3,
+        n_draws=30,
+        alpha=0.02,
+        gammas=(0.0, 0.3),
+        statistics=("transitivity_index",),
+    )
+    table = nt.run_experiment(cfg, seed=77)
+    assert all(row.rejections == 0 for row in table.rows)
+    assert draw_counts["pilots"] == sum(row.n_used + row.n_failures for row in table.rows)
+    assert draw_counts["draws"] == 0

@@ -20,7 +20,10 @@ from netformtest.testing import (
     _NS_PILOT,
     REFERENCES,
     TI_NOTE,
+    Statistic,
     _density_only_draw,
+    decided_at,
+    reference_draws,
 )
 
 from _fixtures import (
@@ -366,6 +369,43 @@ def test_results_do_not_depend_on_worker_count(stat, reference):
     assert serial.null_draws.tolist() == parallel.null_draws.tolist()
     assert serial.p_value == parallel.p_value
     assert serial.diagnostics == parallel.diagnostics
+
+
+def test_stop_rule_counts_ties_as_exceedances_and_skips_undefined_values():
+    nan = float("nan")
+    rows = []
+    rule = decided_at(0.05, [1.0, nan], 19)
+    assert not rule(rows)  # 1/20 is exactly 0.05: one more draw could still reject
+    rows.append([0.5, 3.0])
+    assert not rule(rows)
+    rows.append([nan, 3.0])
+    assert not rule(rows)  # an undefined draw is no exceedance
+    rows.append([1.0, nan])
+    assert rule(rows)  # a tie is: 2/20 > 0.05, and the second observed is undefined
+    assert decided_at(0.05, [nan, nan], 19)([])
+    assert decided_at(0.02, [1.0], 30)([])  # 1/31 > 0.02 before any draw
+    assert not decided_at(0.05, [1.0], 39)([[1.0]])  # 2/40 is exactly 0.05
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("reference", ["density_only", "degree_only", "degree_and_crosslink"])
+def test_curtailed_values_are_the_draws_up_to_the_decision(reference, jobs):
+    # at alpha = 0.05 over 39 draws a statistic is decided at its second
+    # exceedance, since (1 + 2)/40 > 0.05 = (1 + 1)/40
+    d, g = fittable_network()
+    statistics = [Statistic("transitivity_index"), Statistic("reciprocity_index")]
+    draws = reference_draws(d, g, reference, 39, ChainConfig(tau=20, q=0.5), seed=59)
+    full, full_stats = draws.values(statistics)
+    # any observed values will do; the medians of the draws decide early
+    observed = list(np.median(full, axis=0))
+    stop = decided_at(0.05, observed, draws.n_draws)
+    curtailed, stats = draws.values(statistics, jobs=jobs, stop=stop)
+    exceedances = np.cumsum(full >= observed, axis=0)
+    made = int(np.argmax((exceedances >= 2).all(axis=1))) + 1
+    assert 0 < made < draws.n_draws
+    assert np.array_equal(curtailed, full[:made])
+    if draws.cfg is not None:
+        assert 0 < stats.steps < full_stats.steps
 
 
 def test_fitted_statistic_uses_one_mle_for_all_draws():
