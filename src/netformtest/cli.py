@@ -39,11 +39,15 @@ from .graphs import (
     from_edge_list,
     read_edge_csv,
     read_node_csv,
+    write_edge_csv,
 )
 from .harness import ExperimentConfig, run_experiment, table1_calibration
 from .model import (
     NuisanceParams,
     SeparationError,
+    _group_indicator,
+    _link_probabilities,
+    _null_gradient,
     mle_null,
     null_log_likelihood,
     simulate_alternative,
@@ -56,7 +60,7 @@ from .testing import TestStatisticSpec, conditional_p_value, reference_draws
 
 __version__ = "0.1.0"
 
-__all__ = ["RunManifest", "dispatch", "get_parser", "main"]
+__all__ = ["get_parser", "main"]
 
 _STATISTIC_OF = {
     "locally-best": "locally_best",
@@ -140,32 +144,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 @dataclass
-class RunManifest:
-    """Provenance record; exactly one is written per output directory."""
-
-    subcommand: str
-    config: dict
-    seed: int
-    version: str
-    input_digests: dict
-    started_at: str
-    wall_clock_sec: float
-    warnings: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "input_digests": self.input_digests,
-            "started_at": self.started_at,
-            "wall_clock_sec": self.wall_clock_sec,
-            "warnings": list(self.warnings),
-        }
-
-
-@dataclass
 class _RunContext:
     outdir: Path
     seed: int
@@ -222,17 +200,19 @@ def _chain_config(args) -> ChainConfig | None:
 
 
 def _fit_gradient_sup_norm(d, delta, g) -> float:
-    from .model import _null_gradient, logistic_cdf, systematic_utility
-
-    mu = systematic_utility(delta, g)
-    P = logistic_cdf(np.where(np.isnan(mu), 0.0, mu))
+    P = _link_probabilities(delta, g)
     np.fill_diagonal(P, 0.0)
-    n = d.n
-    codes = np.asarray(g.codes)
-    Z = np.zeros((n, g.n_groups))
-    Z[np.arange(n), codes] = 1.0
-    ga, gb, glam = _null_gradient(d.to_array().astype(float), P, Z)
+    ga, gb, glam = _null_gradient(d.to_array().astype(float), P, _group_indicator(g))
     return float(max(np.abs(ga).max(), np.abs(gb).max(), np.abs(glam).max()))
+
+
+def _arc_rows(networks, index_base: int) -> list[tuple[int, int, int]]:
+    """(index, source, target) for every arc of each network, in order."""
+    return [
+        (idx, i + index_base, j + index_base)
+        for idx, d in enumerate(networks)
+        for i, j in d.arcs()
+    ]
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -252,10 +232,7 @@ def _cmd_sample(args, ctx: _RunContext) -> dict:
         q=args.q,
     )
     stats = ChainStats()
-    rows = []
-    for b in range(draws.n_draws):
-        for i, j in draws.draw(b, stats).arcs():
-            rows.append((b, i + args.index_base, j + args.index_base))
+    rows = _arc_rows((draws.draw(b, stats) for b in range(draws.n_draws)), args.index_base)
     _write_csv(ctx.outdir / "draws.csv", ["draw", "source", "target"], rows)
     cfg = draws.cfg
     print(
@@ -305,11 +282,7 @@ def _cmd_simulate(args, ctx: _RunContext) -> dict:
     else:
         spec = strategic_spec(_SPEC_OF[args.spec], g.n_nodes)
         d = simulate_alternative(delta, args.gamma, spec, g, rng)
-    _write_csv(
-        ctx.outdir / "edges.csv",
-        ["source", "target"],
-        [(i + args.index_base, j + args.index_base) for i, j in d.arcs()],
-    )
+    write_edge_csv(ctx.outdir / "edges.csv", d, args.index_base)
     print(f"simulated network with {d.arc_count()} arcs on {d.n} nodes")
     return {
         "params": str(args.params),
@@ -452,10 +425,7 @@ def _cmd_enumerate(args, ctx: _RunContext) -> dict:
     }
     _write_json(ctx.outdir / "enumeration.json", summary)
     if args.write_members:
-        rows = []
-        for idx, member in enumerate(members):
-            for i, j in member.arcs():
-                rows.append((idx, i + args.index_base, j + args.index_base))
+        rows = _arc_rows(members, args.index_base)
         _write_csv(ctx.outdir / "members.csv", ["member", "source", "target"], rows)
     print(f"reference set contains {len(members)} networks")
     return {
@@ -651,22 +621,18 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return 3
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        config=config,
-        seed=seed,
-        version=__version__,
-        input_digests=ctx.digests,
-        started_at=started,
-        wall_clock_sec=time.perf_counter() - t0,
-        warnings=[str(w.message) for w in caught],
-    )
-    _write_json(outdir / "manifest.json", manifest.as_dict())
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": config,
+        "seed": seed,
+        "version": __version__,
+        "input_digests": ctx.digests,
+        "started_at": started,
+        "wall_clock_sec": time.perf_counter() - t0,
+        "warnings": [str(w.message) for w in caught],
+    }
+    _write_json(outdir / "manifest.json", manifest)
     return 0
-
-
-#: Entry point alias: parse argv, run the subcommand, return the exit code.
-dispatch = main
 
 
 if __name__ == "__main__":

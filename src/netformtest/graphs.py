@@ -147,9 +147,6 @@ class AdjacencyMatrix:
     def add_arc(self, i: int, j: int) -> None:
         self.set_arc(i, j, True)
 
-    def remove_arc(self, i: int, j: int) -> None:
-        self.set_arc(i, j, False)
-
     # -- whole-matrix views --------------------------------------------------
 
     def arc_count(self) -> int:
@@ -382,6 +379,25 @@ def transitivity_index(d: AdjacencyMatrix) -> float:
 # -- CSV interface ---------------------------------------------------------
 
 
+def _csv_rows(path, header: tuple[str, str]):
+    """Yield (line number, row) for each data row of a CSV headed ``header``.
+
+    Blank lines are skipped; a missing header or a row of fewer than two
+    columns raises :class:`DataError`.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first[:2]] != list(header):
+            raise DataError(f"{path}: expected header '{','.join(header)}'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < 2:
+                raise DataError(f"{path}: line {lineno}: expected 2 columns")
+            yield lineno, row
+
+
 def read_edge_csv(path, index_base: int = 0) -> list[tuple[int, int]]:
     """Read arcs from a CSV with header ``source,target``.
 
@@ -389,26 +405,15 @@ def read_edge_csv(path, index_base: int = 0) -> list[tuple[int, int]]:
     Malformed rows raise :class:`DataError` with the offending line number.
     """
     edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["source", "target"]:
-            raise DataError(f"{path}: expected header 'source,target'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                i = int(row[0]) - index_base
-                j = int(row[1]) - index_base
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-integer id") from exc
-            if i < 0 or j < 0:
-                raise DataError(
-                    f"{path}: line {lineno}: id below index base {index_base}"
-                )
-            edges.append((i, j))
+    for lineno, row in _csv_rows(path, ("source", "target")):
+        try:
+            i = int(row[0]) - index_base
+            j = int(row[1]) - index_base
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-integer id") from exc
+        if i < 0 or j < 0:
+            raise DataError(f"{path}: line {lineno}: id below index base {index_base}")
+        edges.append((i, j))
     return edges
 
 
@@ -420,23 +425,14 @@ def read_node_csv(path, index_base: int = 0) -> tuple[int, GroupAssignment]:
     mapped to sorted 0-based codes.  Returns (n, GroupAssignment).
     """
     labels: dict[int, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["node", "group"]:
-            raise DataError(f"{path}: expected header 'node,group'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                node = int(row[0]) - index_base
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-integer node id") from exc
-            if node in labels:
-                raise DataError(f"{path}: line {lineno}: node {row[0]} repeated")
-            labels[node] = row[1].strip()
+    for lineno, row in _csv_rows(path, ("node", "group")):
+        try:
+            node = int(row[0]) - index_base
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-integer node id") from exc
+        if node in labels:
+            raise DataError(f"{path}: line {lineno}: node {row[0]} repeated")
+        labels[node] = row[1].strip()
     n = len(labels)
     if n == 0:
         raise DataError(f"{path}: no nodes")

@@ -20,35 +20,32 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graphs import AdjacencyMatrix, GroupAssignment
+from .graphs import AdjacencyMatrix, GroupAssignment, cross_link_matrix
 
 __all__ = [
-    "GammaParam",
     "NuisanceParams",
     "SeparationError",
     "StrategicSpec",
-    "UtilityShockMatrix",
     "draw_logistic_shocks",
     "is_equilibrium",
     "logistic_cdf",
-    "logistic_pdf",
     "mle_null",
     "null_log_likelihood",
     "reciprocity_spec",
     "simulate_alternative",
     "simulate_null",
     "strategic_spec",
-    "strategic_term",
     "systematic_utility",
     "transitivity_spec",
     "customer_product_spec",
 ]
 
-#: Interaction strength; plain float (the model is one-dimensional in it).
-GammaParam = float
-
-#: n x n matrix of iid logistic payoff shocks (diagonal unused).
-UtilityShockMatrix = np.ndarray
+#: Newton ascent of :func:`mle_null`: stop once every free gradient component
+#: is below MLE_TOL, give up after MLE_MAX_ITER steps or once a parameter
+#: exceeds MLE_PARAM_BOUND in absolute value.
+MLE_TOL = 1e-8
+MLE_MAX_ITER = 200
+MLE_PARAM_BOUND = 40.0
 
 
 class SeparationError(RuntimeError):
@@ -65,12 +62,6 @@ def logistic_cdf(x):
     ex = np.exp(x[neg])
     out[neg] = ex / (1.0 + ex)
     return out
-
-
-def logistic_pdf(x):
-    """Standard logistic density f(x) = F(x) (1 - F(x))."""
-    F = logistic_cdf(x)
-    return F * (1.0 - F)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +116,19 @@ def systematic_utility(delta: NuisanceParams, g: GroupAssignment) -> np.ndarray:
     return mu
 
 
+def _link_probabilities(delta: NuisanceParams, g: GroupAssignment) -> np.ndarray:
+    """Null arc probabilities F(mu_ij); the unused diagonal holds F(0)."""
+    off = ~np.eye(g.n_nodes, dtype=bool)
+    return logistic_cdf(np.where(off, systematic_utility(delta, g), 0.0))
+
+
+def _group_indicator(g: GroupAssignment) -> np.ndarray:
+    """The n x K one-hot group matrix Z: Z[i, k] = 1 iff node i is in group k."""
+    Z = np.zeros((g.n_nodes, g.n_groups))
+    Z[np.arange(g.n_nodes), np.asarray(g.codes)] = 1.0
+    return Z
+
+
 # -- strategic interaction specifications -----------------------------------
 
 
@@ -132,10 +136,9 @@ def systematic_utility(delta: NuisanceParams, g: GroupAssignment) -> np.ndarray:
 class StrategicSpec:
     """How other agents' arcs enter i's payoff from the arc i -> j.
 
-    ``pair_fn(d, i, j)`` evaluates s_ij on an AdjacencyMatrix;
-    ``matrix_fn(a)`` evaluates the whole matrix of s values from a dense 0/1
-    array (diagonal meaningless).  Both exclude the own arc d_ij — the
-    exclusion restriction: s_ij(d) never depends on d_ij itself.  ``s_min``
+    ``matrix_fn(a)`` evaluates the whole matrix of s_ij values from a dense
+    0/1 array (diagonal meaningless).  Each s_ij excludes the own arc d_ij —
+    the exclusion restriction: s_ij(d) never depends on d_ij itself.  ``s_min``
     and ``s_max`` bound the attainable values; ``monotone`` says whether s is
     non-decreasing in every other arc, which is what guarantees existence of
     a least equilibrium under gamma >= 0.
@@ -146,7 +149,6 @@ class StrategicSpec:
     """
 
     kind: str
-    pair_fn: Callable[[AdjacencyMatrix, int, int], int]
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     s_min: int
     s_max: int
@@ -156,41 +158,31 @@ class StrategicSpec:
 def reciprocity_spec() -> StrategicSpec:
     """s_ij = d_ji: the value of i -> j rises when j links back."""
 
-    def pair(d, i, j):
-        return int(d.has_arc(j, i))
-
     def matrix(a):
         return a.T.astype(np.int64)
 
-    return StrategicSpec("reciprocity", pair, matrix, 0, 1)
+    return StrategicSpec("reciprocity", matrix, 0, 1)
 
 
 def transitivity_spec(n: int) -> StrategicSpec:
     """s_ij = #{k : i -> k -> j}: arcs to j's endorsers make i -> j cheaper."""
 
-    def pair(d, i, j):
-        return (d.rows[i] & d.cols[j]).bit_count()
-
     def matrix(a):
         a = a.astype(np.float64)
         return a @ a
 
-    return StrategicSpec("transitivity", pair, matrix, 0, max(0, n - 2))
+    return StrategicSpec("transitivity", matrix, 0, max(0, n - 2))
 
 
 def customer_product_spec(n: int) -> StrategicSpec:
     """s_ij = (out-degree of i excluding j) * (out-degree of j)."""
-
-    def pair(d, i, j):
-        out_i = d.rows[i].bit_count() - int(d.has_arc(i, j))
-        return out_i * d.rows[j].bit_count()
 
     def matrix(a):
         a = a.astype(np.int64)
         out = a.sum(axis=1)
         return (out[:, None] - a) * out[None, :]
 
-    return StrategicSpec("customer_product", pair, matrix, 0, max(0, (n - 2) * (n - 1)))
+    return StrategicSpec("customer_product", matrix, 0, max(0, (n - 2) * (n - 1)))
 
 
 _SPEC_BUILDERS = {
@@ -210,13 +202,6 @@ def strategic_spec(kind: str, n: int) -> StrategicSpec:
             f"choose from {sorted(_SPEC_BUILDERS)}"
         ) from None
     return builder(n)
-
-
-def strategic_term(d: AdjacencyMatrix, i: int, j: int, spec: StrategicSpec) -> int:
-    """Evaluate s_ij(d) for one ordered pair."""
-    if i == j:
-        raise ValueError("strategic term is defined for distinct nodes only")
-    return spec.pair_fn(d, i, j)
 
 
 # -- null likelihood and MLE -------------------------------------------------
@@ -273,7 +258,15 @@ def _free_map(n: int, K: int) -> np.ndarray:
     return L
 
 
-def _separation_report(d: AdjacencyMatrix, g: GroupAssignment | None = None) -> str:
+def _degenerate_margins(d: AdjacencyMatrix, g: GroupAssignment) -> list[str]:
+    """One message per kind of sufficient statistic at an extreme achievable
+    value; empty when there is none.
+
+    Out-degrees, in-degrees, and group-cell arc counts are the sufficient
+    statistics; the MLE exists only when each is strictly between its
+    bounds (a degree of 0 or n-1, or an empty/saturated group cell, pushes
+    the corresponding parameter to infinity).
+    """
     n = d.n
     out_deg = d.out_degrees()
     in_deg = d.in_degrees()
@@ -290,54 +283,19 @@ def _separation_report(d: AdjacencyMatrix, g: GroupAssignment | None = None) -> 
         bits.append(f"nodes with no incoming arcs: {empty_in}")
     if full_in:
         bits.append(f"nodes receiving from everyone: {full_in}")
-    if g is not None:
-        for k, l, m, cap in _block_margins(d, g):
-            if cap > 0 and m == 0:
+    counts = cross_link_matrix(d, g).counts
+    sizes = np.bincount(np.asarray(g.codes), minlength=g.n_groups)
+    for k in range(g.n_groups):
+        for l in range(g.n_groups):
+            cap = int(sizes[k] * sizes[l] - (sizes[k] if k == l else 0))
+            if cap > 0 and counts[k][l] == 0:
                 bits.append(f"no arcs at all from group {k} to group {l}")
-            elif cap > 0 and m == cap:
+            elif cap > 0 and counts[k][l] == cap:
                 bits.append(f"every possible arc from group {k} to group {l} present")
-    return "; ".join(bits) if bits else "no degenerate margins found"
+    return bits
 
 
-def _block_margins(d: AdjacencyMatrix, g: GroupAssignment):
-    """Yield (k, l, observed arcs, possible arcs) for each group cell."""
-    codes = np.asarray(g.codes)
-    K = g.n_groups
-    sizes = np.bincount(codes, minlength=K)
-    a = d.to_array()
-    Z = np.zeros((g.n_nodes, K), dtype=np.int64)
-    Z[np.arange(g.n_nodes), codes] = 1
-    counts = Z.T @ a @ Z
-    for k in range(K):
-        for l in range(K):
-            cap = sizes[k] * sizes[l] - (sizes[k] if k == l else 0)
-            yield k, l, int(counts[k, l]), int(cap)
-
-
-def _margins_on_boundary(d: AdjacencyMatrix, g: GroupAssignment) -> bool:
-    """True when a sufficient statistic sits at an extreme achievable value.
-
-    Out-degrees, in-degrees, and group-cell arc counts are the sufficient
-    statistics; the MLE exists only when each is strictly between its
-    bounds (a degree of 0 or n-1, or an empty/saturated group cell, pushes
-    the corresponding parameter to infinity).
-    """
-    n = d.n
-    if any(deg in (0, n - 1) for deg in d.out_degrees()):
-        return True
-    if any(deg in (0, n - 1) for deg in d.in_degrees()):
-        return True
-    return any(cap > 0 and m in (0, cap) for _, _, m, cap in _block_margins(d, g))
-
-
-def mle_null(
-    d: AdjacencyMatrix,
-    g: GroupAssignment,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    param_bound: float = 40.0,
-) -> NuisanceParams:
+def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
     """Maximum-likelihood nuisance parameters under the null.
 
     Damped Newton ascent in the normalized free parameterization (see
@@ -353,15 +311,16 @@ def mle_null(
     K = g.n_groups
     if g.n_nodes != n:
         raise ValueError("group assignment does not match node count")
-    if _margins_on_boundary(d, g):
+    degenerate = _degenerate_margins(d, g)
+    if degenerate:
         raise SeparationError(
             "null MLE does not exist (a sufficient statistic is at its "
-            "extreme): " + _separation_report(d, g)
+            "extreme): " + "; ".join(degenerate)
         )
+    # Every later failure happens with all margins interior.
+    margins = "no degenerate margins found"
     a = d.to_array().astype(float)
-    codes = np.asarray(g.codes)
-    Z = np.zeros((n, K))
-    Z[np.arange(n), codes] = 1.0
+    Z = _group_indicator(g)
     L = _free_map(n, K)
     offdiag = ~np.eye(n, dtype=bool)
 
@@ -384,16 +343,16 @@ def mle_null(
 
     x = np.zeros(n + (n - 1) + (K - 1) * (K - 1))
     delta, P, ll = loglik_and_parts(x)
-    for _ in range(max_iter):
+    for _ in range(MLE_MAX_ITER):
         ga, gb, glam = _null_gradient(a, P, Z)
         g_full = np.concatenate([ga, gb, glam.ravel()])
         g_free = L.T @ g_full
-        if np.abs(g_free).max() < tol:
+        if np.abs(g_free).max() < MLE_TOL:
             mu = systematic_utility(delta, g)
             if np.nanmax(np.abs(mu)) > 30.0:
                 raise SeparationError(
                     "null MLE stalled with saturated link probabilities; "
-                    "likely perfect separation: " + _separation_report(d, g)
+                    "likely perfect separation: " + margins
                 )
             return delta
         W = P * (1.0 - P)
@@ -426,8 +385,7 @@ def mle_null(
             scale *= 0.5
         else:
             raise SeparationError(
-                "null MLE line search failed to improve the likelihood; "
-                + _separation_report(d, g)
+                "null MLE line search failed to improve the likelihood; " + margins
             )
         x, delta, P, ll = x_new, delta_new, P_new, ll_new
         worst = max(
@@ -435,21 +393,20 @@ def mle_null(
             np.abs(delta.receiver).max(),
             np.abs(delta.mixing).max(),
         )
-        if worst > param_bound:
+        if worst > MLE_PARAM_BOUND:
             raise SeparationError(
-                f"null MLE diverged (|parameter| > {param_bound:g}); "
-                "likely perfect separation: " + _separation_report(d, g)
+                f"null MLE diverged (|parameter| > {MLE_PARAM_BOUND:g}); "
+                "likely perfect separation: " + margins
             )
     raise SeparationError(
-        f"null MLE did not converge in {max_iter} iterations; "
-        + _separation_report(d, g)
+        f"null MLE did not converge in {MLE_MAX_ITER} iterations; " + margins
     )
 
 
 # -- simulation ---------------------------------------------------------------
 
 
-def draw_logistic_shocks(rng: np.random.Generator, n: int) -> UtilityShockMatrix:
+def draw_logistic_shocks(rng: np.random.Generator, n: int) -> np.ndarray:
     """An n x n matrix of iid standard-logistic shocks (diagonal unused)."""
     return rng.logistic(size=(n, n))
 
@@ -458,7 +415,7 @@ def simulate_null(
     delta: NuisanceParams,
     g: GroupAssignment,
     rng: Optional[np.random.Generator] = None,
-    shocks: Optional[UtilityShockMatrix] = None,
+    shocks: Optional[np.ndarray] = None,
 ) -> AdjacencyMatrix:
     """Draw a network of independent arcs: d_ij = 1{mu_ij >= u_ij}."""
     mu = systematic_utility(delta, g)
@@ -472,11 +429,11 @@ def simulate_null(
 
 def simulate_alternative(
     delta: NuisanceParams,
-    gamma: GammaParam,
+    gamma: float,
     spec: StrategicSpec,
     g: GroupAssignment,
     rng: Optional[np.random.Generator] = None,
-    shocks: Optional[UtilityShockMatrix] = None,
+    shocks: Optional[np.ndarray] = None,
 ) -> AdjacencyMatrix:
     """Draw an equilibrium network under interaction strength ``gamma``.
 
@@ -520,10 +477,10 @@ def simulate_alternative(
 def is_equilibrium(
     d: AdjacencyMatrix,
     delta: NuisanceParams,
-    gamma: GammaParam,
+    gamma: float,
     spec: StrategicSpec,
     g: GroupAssignment,
-    shocks: UtilityShockMatrix,
+    shocks: np.ndarray,
 ) -> bool:
     """Check the per-arc best-response identity d_ij = 1{mu_ij + gamma s_ij >= u_ij}."""
     mu = systematic_utility(delta, g)

@@ -38,6 +38,7 @@ from .graphs import (
 from .model import (
     NuisanceParams,
     StrategicSpec,
+    _link_probabilities,
     logistic_cdf,
     mle_null,
     strategic_spec,
@@ -83,12 +84,6 @@ def locally_best_statistic(
     interaction term s makes arcs more attractive.
     """
     return _score(d, _link_probabilities(delta, g), spec.matrix_fn)
-
-
-def _link_probabilities(delta: NuisanceParams, g: GroupAssignment) -> np.ndarray:
-    """Null arc probabilities F(mu_ij); the unused diagonal holds F(0)."""
-    off = ~np.eye(g.n_nodes, dtype=bool)
-    return logistic_cdf(np.where(off, systematic_utility(delta, g), 0.0))
 
 
 def _score(d: AdjacencyMatrix, P: np.ndarray, matrix_fn) -> float:
@@ -143,7 +138,6 @@ def exact_reciprocity_likelihood(
     g: GroupAssignment,
     delta: NuisanceParams,
     gamma: float,
-    selection: str = "uniform_over_NE",
 ) -> float:
     """Exact network probability under reciprocity interaction, gamma >= 0.
 
@@ -151,8 +145,8 @@ def exact_reciprocity_likelihood(
     shock u_ij falls into one of three buckets: below mu_ij (i links
     regardless), in (mu_ij, mu_ij + gamma] (i links iff j does), or above
     (never links).  When both shocks of a dyad land in the middle bucket the
-    empty and the mutual dyad are both equilibria; the ``uniform_over_NE``
-    selection rule picks each with probability 1/2.
+    empty and the mutual dyad are both equilibria; the selection rule,
+    uniform over equilibria, picks each with probability 1/2.
 
     gamma < 0 flips the middle bucket into an anti-coordination region and is
     not supported here.
@@ -162,8 +156,6 @@ def exact_reciprocity_likelihood(
             "gamma < 0 makes reciprocity anti-coordinating; "
             "this likelihood only covers gamma >= 0"
         )
-    if selection != "uniform_over_NE":
-        raise ValueError(f"unknown selection rule {selection!r}")
     mu = systematic_utility(delta, g)
     F0 = logistic_cdf(np.where(np.isnan(mu), 0.0, mu))
     Fg = logistic_cdf(np.where(np.isnan(mu), 0.0, mu + gamma))

@@ -14,6 +14,8 @@ import numpy as np
 import netformtest as nt
 from netformtest import harness
 from netformtest._rng import seed_sequence, substream_generator
+from netformtest.graphs import DyadCensus
+from netformtest.model import systematic_utility
 from netformtest.sampler import StepInfo, _cycle_arc_triples, _walk, switch_cycle
 from netformtest.testing import Statistic, add_one_p_value, reference_draws
 
@@ -54,6 +56,22 @@ def logistic(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+# s_ij(d) of each built-in strategic term for one ordered pair i != j,
+# counted from the bitmasks.
+PAIR_TERMS = {
+    "reciprocity": lambda d, i, j: int(d.has_arc(j, i)),
+    "transitivity": lambda d, i, j: (d.rows[i] & d.cols[j]).bit_count(),
+    "customer_product": lambda d, i, j: (
+        (d.rows[i].bit_count() - int(d.has_arc(i, j))) * d.rows[j].bit_count()
+    ),
+}
+
+
+def pair_term(kind, d, i, j):
+    """Per-pair oracle for ``strategic_spec(kind, n).matrix_fn``: s_ij(d)."""
+    return PAIR_TERMS[kind](d, i, j)
+
+
 def dyad_likelihood_oracle(d, g, delta, gamma):
     """Equilibrium network probability for reciprocity interaction, any gamma.
 
@@ -62,7 +80,7 @@ def dyad_likelihood_oracle(d, g, delta, gamma):
     gamma < 0 it anti-coordinates (link iff the other does not); double-middle
     ties hold two equilibria and each is picked with probability 1/2.
     """
-    mu = nt.systematic_utility(delta, g)
+    mu = systematic_utility(delta, g)
     prob = 1.0
     for i in range(d.n):
         for j in range(i + 1, d.n):
@@ -202,7 +220,7 @@ def dyad_census_oracle(d):
             elif ij or ji:
                 asym += 1
     n_dyads = d.n * (d.n - 1) // 2
-    return nt.DyadCensus(mutual, asym, n_dyads - mutual - asym)
+    return DyadCensus(mutual, asym, n_dyads - mutual - asym)
 
 
 def random_delta(n, K, rng, scale=1.0):

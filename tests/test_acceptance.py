@@ -45,8 +45,14 @@ from scipy.stats import chisquare
 
 import netformtest as nt
 from netformtest.cli import main as cli_main
-from netformtest.graphs import cross_link_matrix, degree_sequence
-from netformtest.model import logistic_cdf
+from netformtest.graphs import cross_link_matrix, degree_sequence, transitivity_index
+from netformtest.harness import table1_calibration
+from netformtest.model import (
+    draw_logistic_shocks,
+    logistic_cdf,
+    reciprocity_spec,
+    systematic_utility,
+)
 from netformtest.sampler import (
     ChainConfig,
     enumerate_reference_set,
@@ -206,7 +212,7 @@ def test_05_reciprocity_likelihood_matches_score_and_simulation():
             up = nt.exact_reciprocity_likelihood(d, g, delta, h)
             down = dyad_likelihood_oracle(d, g, delta, -h)
             derivative = (up - down) / (2.0 * h) / p0
-            score = nt.locally_best_statistic(d, delta, nt.reciprocity_spec(), g)
+            score = nt.locally_best_statistic(d, delta, reciprocity_spec(), g)
             worst = max(worst, abs(derivative - score) / abs(score))
     assert worst < 1e-4, f"worst relative error {worst:.2e}"
 
@@ -217,7 +223,7 @@ def test_05_reciprocity_likelihood_matches_score_and_simulation():
     hand_values = {(1, 1): 0.73, (1, 0): 0.05, (0, 1): 0.05, (0, 0): 0.17}
     for mu_vec, gamma in (((0.0, 0.0), math.log(9.0)), ((0.6, -0.8), 1.0)):
         delta = nt.NuisanceParams(np.array(mu_vec), np.zeros(2), np.zeros((1, 1)))
-        mu = nt.systematic_utility(delta, g2)
+        mu = systematic_utility(delta, g2)
         rng_np = np.random.default_rng(77)
         counts = dict.fromkeys(hand_values, 0.0)
         for _ in range(n_total // chunk):
@@ -254,7 +260,7 @@ def test_06_study_scale_fits_match_all_conditioning_moments():
         assert fit_seconds < 10.0, f"fit took {fit_seconds:.1f} s"
         fits += 1
 
-        probs = logistic_cdf(nt.systematic_utility(fitted, g))
+        probs = logistic_cdf(systematic_utility(fitted, g))
         np.fill_diagonal(probs, 0.0)
         worst = max(worst, np.abs(probs.sum(axis=1) - np.array(d.out_degrees())).max())
         worst = max(worst, np.abs(probs.sum(axis=0) - np.array(d.in_degrees())).max())
@@ -271,7 +277,7 @@ def test_06_study_scale_fits_match_all_conditioning_moments():
 
 
 def test_07_calibration_table_prints_the_expected_probabilities():
-    rows = nt.table1_calibration()
+    rows = table1_calibration()
     printed = [round(r.link_prob, 2) for r in rows[:5]] + [round(rows[5].link_prob, 3)]
     assert printed == [0.90, 0.50, 0.10, 0.50, 0.10, 0.012]
 
@@ -290,7 +296,7 @@ def test_08_null_design_summaries_at_study_scale():
         delta, g = nt.study_population(n, rng)
         d = nt.simulate_null(delta, g, rng)
         density[k] = d.arc_count() / (n * (n - 1))
-        transitivity[k] = nt.transitivity_index(d)
+        transitivity[k] = transitivity_index(d)
         in_degree_var[k] = np.var(d.in_degrees())
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"{reps} null simulations took {elapsed:.1f} s"
@@ -373,7 +379,7 @@ def test_11_simulated_alternatives_are_exact_equilibria():
         delta = random_delta(n, K, rng, scale=0.8)
         gamma = rng.random() * 1.2
         spec = nt.strategic_spec(rng.choice(SPEC_KINDS), n)
-        shocks = nt.draw_logistic_shocks(rng_np, n)
+        shocks = draw_logistic_shocks(rng_np, n)
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
         assert nt.is_equilibrium(d, delta, gamma, spec, g, shocks)
 

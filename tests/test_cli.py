@@ -9,6 +9,7 @@ provenance manifest.
 import csv
 import importlib.metadata
 import json
+import pkgutil
 import shutil
 import subprocess
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 import netformtest as nt
 import netformtest.cli
 from netformtest.cli import main
+from netformtest.graphs import transitivity_index
 from netformtest.model import logistic_cdf
 
 from _fixtures import CHAIN_FIXTURES, build_fixture, fittable_network
@@ -221,7 +223,7 @@ def test_test_and_sample_tune_and_draw_the_same_walk(tmp_path, interior12, q):
     assert result["tau"] == sampled["tau"] == read_manifest(test_out)["config"]["tau"]
     _, rows = read_csv_rows(sample_out / "draws.csv")
     expected = [
-        nt.transitivity_index(
+        transitivity_index(
             nt.from_edge_list(
                 [(int(r["source"]), int(r["target"])) for r in rows if r["draw"] == str(b)],
                 d.n,
@@ -592,3 +594,65 @@ def test_console_script_is_installed():
         pytest.skip("the netformtest distribution is not installed "
                     "(importlib.metadata.PackageNotFoundError), so there is "
                     "no console script to run")
+
+
+# -- public surface ------------------------------------------------------------------
+
+# The README's Python API, the names the benchmark worker calls, and the
+# argument and exception types they take or raise.
+DOCUMENTED_API = {
+    "AdjacencyMatrix",
+    "GroupAssignment",
+    "DataError",
+    "from_edge_list",
+    "read_edge_csv",
+    "read_node_csv",
+    "NuisanceParams",
+    "SeparationError",
+    "mle_null",
+    "null_log_likelihood",
+    "simulate_null",
+    "simulate_alternative",
+    "is_equilibrium",
+    "strategic_spec",
+    "ChainConfig",
+    "FrozenChainError",
+    "markov_step",
+    "markov_draw",
+    "mixing_time_heuristic",
+    "enumerate_reference_set",
+    "TestStatisticSpec",
+    "conditional_p_value",
+    "exact_conditional_critical_values",
+    "locally_best_statistic",
+    "theorem2_derivative",
+    "exact_reciprocity_likelihood",
+    "ExperimentConfig",
+    "run_experiment",
+    "study_population",
+}
+
+
+def test_package_exports_exactly_the_documented_api():
+    assert len(nt.__all__) == len(DOCUMENTED_API) == 29
+    assert set(nt.__all__) == DOCUMENTED_API
+    modules = [nt] + [
+        importlib.import_module(f"netformtest.{info.name}")
+        for info in pkgutil.iter_modules(nt.__path__)
+    ]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert {m.__name__ for m in exporting} >= {
+        "netformtest",
+        "netformtest.cli",
+        "netformtest.graphs",
+        "netformtest.harness",
+        "netformtest.model",
+        "netformtest.sampler",
+        "netformtest.testing",
+    }
+    for module in exporting:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name} does not resolve"
+    for name in ("strategic_term", "dispatch", "RunManifest"):
+        assert not hasattr(nt, name)
+        assert not any(name in module.__all__ for module in exporting)

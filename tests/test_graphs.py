@@ -10,11 +10,14 @@ import netformtest as nt
 from netformtest.graphs import (
     DataError,
     DuplicateArcWarning,
+    DyadCensus,
     cross_link_matrix,
     degree_sequence,
     dyad_census,
     read_edge_csv,
     read_node_csv,
+    reciprocity_index,
+    transitivity_index,
     write_edge_csv,
 )
 
@@ -165,12 +168,12 @@ def test_arc_count_identities():
 
 def test_reciprocity_all_mutual_is_one():
     d = nt.from_edge_list([(0, 1), (1, 0), (2, 3), (3, 2)], 4)
-    assert nt.reciprocity_index(d) == 1.0
+    assert reciprocity_index(d) == 1.0
 
 
 def test_reciprocity_single_arc_is_zero():
     d = nt.from_edge_list([(0, 1)], 3)
-    assert nt.reciprocity_index(d) == 0.0
+    assert reciprocity_index(d) == 0.0
 
 
 def test_reciprocity_mixed_dyads():
@@ -178,26 +181,26 @@ def test_reciprocity_mixed_dyads():
     d = nt.from_edge_list(
         [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3), (3, 0)], 4
     )
-    assert nt.reciprocity_index(d) == pytest.approx(4 / 7)
+    assert reciprocity_index(d) == pytest.approx(4 / 7)
 
 
 def test_reciprocity_undefined_on_empty():
-    assert math.isnan(nt.reciprocity_index(nt.AdjacencyMatrix.zeros(4)))
+    assert math.isnan(reciprocity_index(nt.AdjacencyMatrix.zeros(4)))
 
 
 def test_transitivity_complete_digraph_is_one():
     d = nt.AdjacencyMatrix.from_dense(1 - np.eye(5, dtype=int))
-    assert nt.transitivity_index(d) == 1.0
+    assert transitivity_index(d) == 1.0
 
 
 def test_transitivity_open_path_is_zero():
     d = nt.from_edge_list([(0, 1), (1, 2)], 3)
-    assert nt.transitivity_index(d) == 0.0
+    assert transitivity_index(d) == 0.0
 
 
 def test_transitivity_undefined_without_two_paths():
     d = nt.from_edge_list([(0, 1)], 3)
-    assert math.isnan(nt.transitivity_index(d))
+    assert math.isnan(transitivity_index(d))
 
 
 def test_transitivity_matches_triple_loop():
@@ -209,13 +212,13 @@ def test_transitivity_matches_triple_loop():
                 if i != k and k != j and i != j and d.has_arc(i, k) and d.has_arc(k, j):
                     opened += 1
                     closed += d.has_arc(i, j)
-    assert nt.transitivity_index(d) == pytest.approx(closed / opened)
+    assert transitivity_index(d) == pytest.approx(closed / opened)
 
 
 def test_dyad_census_empty_and_complete():
-    assert dyad_census(nt.AdjacencyMatrix.zeros(5)) == nt.DyadCensus(0, 0, 10)
+    assert dyad_census(nt.AdjacencyMatrix.zeros(5)) == DyadCensus(0, 0, 10)
     complete = nt.AdjacencyMatrix.from_dense(1 - np.eye(5, dtype=int))
-    assert dyad_census(complete) == nt.DyadCensus(10, 0, 0)
+    assert dyad_census(complete) == DyadCensus(10, 0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 64, 65])

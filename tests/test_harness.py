@@ -8,7 +8,14 @@ from scipy import stats as sps
 
 import netformtest as nt
 from netformtest import harness, testing
-from netformtest.harness import STUDY_MIXING, study_population
+from netformtest.graphs import transitivity_index
+from netformtest.harness import (
+    STUDY_MIXING,
+    PowerRow,
+    PowerTable,
+    study_population,
+    table1_calibration,
+)
 from netformtest.model import logistic_cdf, simulate_null
 
 from _fixtures import full_replication
@@ -17,7 +24,7 @@ from _fixtures import full_replication
 
 
 def test_calibration_rows_come_in_design_order():
-    rows = nt.table1_calibration()
+    rows = table1_calibration()
     assert [(r.same_group, r.sender_level, r.receiver_level) for r in rows] == [
         (True, 1.1, 1.1),
         (True, 1.1, -1.1),
@@ -29,12 +36,12 @@ def test_calibration_rows_come_in_design_order():
 
 
 def test_calibration_utilities_sum_effect_levels_and_penalty():
-    utilities = [r.utility for r in nt.table1_calibration()]
+    utilities = [r.utility for r in table1_calibration()]
     assert utilities == pytest.approx([2.2, 0.0, -2.2, 0.0, -2.2, -4.4])
 
 
 def test_calibration_probabilities_at_printed_precision():
-    rows = nt.table1_calibration()
+    rows = table1_calibration()
     for r in rows:
         assert r.link_prob == float(logistic_cdf(r.utility))
     assert [round(r.link_prob, 2) for r in rows[:5]] == [0.90, 0.50, 0.10, 0.50, 0.10]
@@ -79,7 +86,7 @@ def _design_summaries(n, reps, rng):
         delta, g = study_population(n, rng)
         d = simulate_null(delta, g, rng)
         dens.append(d.arc_count() / (n * (n - 1)))
-        tis.append(nt.transitivity_index(d))
+        tis.append(transitivity_index(d))
         isds.append(np.std(d.in_degrees()))
     return np.mean(dens), np.mean(tis), np.mean(isds)
 
@@ -126,8 +133,8 @@ def test_config_rejects_invalid_settings(kwargs, msg):
 
 
 def test_power_table_lookup_and_missing_key():
-    row = nt.PowerRow(0.0, "transitivity_index", 40, 2, 3, 0.075, 0.0416)
-    table = nt.PowerTable(alpha=0.05, n_reps=42, n_draws=100, rows=[row])
+    row = PowerRow(0.0, "transitivity_index", 40, 2, 3, 0.075, 0.0416)
+    table = PowerTable(alpha=0.05, n_reps=42, n_draws=100, rows=[row])
     assert table.rate(0.0, "transitivity_index") is row
     with pytest.raises(KeyError):
         table.rate(0.1, "transitivity_index")

@@ -13,10 +13,17 @@ import pytest
 from scipy import stats as sps
 
 import netformtest as nt
-from netformtest.graphs import cross_link_matrix, degree_sequence
-from netformtest.model import _null_gradient, logistic_pdf
+from netformtest.graphs import cross_link_matrix, transitivity_index
+from netformtest.model import (
+    _SPEC_BUILDERS,
+    _null_gradient,
+    draw_logistic_shocks,
+    logistic_cdf,
+    reciprocity_spec,
+    systematic_utility,
+)
 
-from _fixtures import random_delta, random_digraph, random_groups
+from _fixtures import PAIR_TERMS, pair_term, random_delta, random_digraph, random_groups
 
 
 def logit(p):
@@ -30,8 +37,8 @@ def make_Z(g):
 
 
 def fitted_probabilities(delta, g):
-    mu = nt.systematic_utility(delta, g)
-    P = nt.logistic_cdf(np.where(np.isnan(mu), 0.0, mu))
+    mu = systematic_utility(delta, g)
+    P = logistic_cdf(np.where(np.isnan(mu), 0.0, mu))
     np.fill_diagonal(P, 0.0)
     return P
 
@@ -58,27 +65,21 @@ def interior_digraph(n, K, p, seed):
 
 def test_logistic_cdf_matches_reference_distribution():
     x = np.linspace(-30, 30, 201)
-    assert np.allclose(nt.logistic_cdf(x), sps.logistic.cdf(x), atol=1e-14)
-    assert nt.logistic_cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
+    assert np.allclose(logistic_cdf(x), sps.logistic.cdf(x), atol=1e-14)
+    assert logistic_cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_logistic_cdf_is_overflow_safe():
     # exp underflowing to zero is the intended safe path; only real trouble
     # (overflow, invalid operations, division) should be impossible
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        vals = nt.logistic_cdf(np.array([-800.0, 800.0]))
+        vals = logistic_cdf(np.array([-800.0, 800.0]))
     assert vals.tolist() == [0.0, 1.0]
 
 
 def test_logistic_cdf_symmetry():
     x = np.linspace(-8, 8, 33)
-    assert np.allclose(nt.logistic_cdf(x) + nt.logistic_cdf(-x), 1.0, atol=1e-15)
-
-
-def test_logistic_pdf_matches_reference_density():
-    x = np.linspace(-10, 10, 81)
-    assert np.allclose(logistic_pdf(x), sps.logistic.pdf(x), atol=1e-14)
-    assert logistic_pdf(np.array([0.0]))[0] == pytest.approx(0.25, abs=1e-15)
+    assert np.allclose(logistic_cdf(x) + logistic_cdf(-x), 1.0, atol=1e-15)
 
 
 # -- parameters and systematic utility --------------------------------------------
@@ -101,7 +102,7 @@ def test_systematic_utility_hand_example():
         np.array([[0.0, 3.0], [-3.0, 1.0]]),
     )
     g = nt.GroupAssignment((0, 1, 0), 2)
-    mu = nt.systematic_utility(delta, g)
+    mu = systematic_utility(delta, g)
     assert mu[0, 1] == pytest.approx(0.5 + 0.75 + 3.0)
     assert mu[1, 0] == pytest.approx(-1.0 + 0.25 + (-3.0))
     assert mu[2, 1] == pytest.approx(2.0 + 0.75 + 3.0)
@@ -112,36 +113,33 @@ def test_systematic_utility_hand_example():
 def test_systematic_utility_shape_mismatches():
     delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="length"):
-        nt.systematic_utility(delta, nt.GroupAssignment.single_group(4))
+        systematic_utility(delta, nt.GroupAssignment.single_group(4))
     with pytest.raises(ValueError, match="group count"):
-        nt.systematic_utility(delta, nt.GroupAssignment((0, 1, 0), 2))
+        systematic_utility(delta, nt.GroupAssignment((0, 1, 0), 2))
 
 
 # -- strategic specifications ------------------------------------------------------
 
 
 def test_reciprocity_counts_the_return_arc():
-    spec = nt.reciprocity_spec()
     d = nt.from_edge_list([(0, 1), (1, 0), (1, 2)], 3)
-    assert nt.strategic_term(d, 0, 1, spec) == 1
-    assert nt.strategic_term(d, 1, 0, spec) == 1
-    assert nt.strategic_term(d, 1, 2, spec) == 0
-    assert nt.strategic_term(d, 2, 1, spec) == 1
+    assert pair_term("reciprocity", d, 0, 1) == 1
+    assert pair_term("reciprocity", d, 1, 0) == 1
+    assert pair_term("reciprocity", d, 1, 2) == 0
+    assert pair_term("reciprocity", d, 2, 1) == 1
 
 
 def test_transitivity_counts_two_paths():
-    spec = nt.transitivity_spec(4)
     d = nt.from_edge_list([(0, 1), (1, 2), (0, 3), (3, 2)], 4)
-    assert nt.strategic_term(d, 0, 2, spec) == 2  # via 1 and via 3
-    assert nt.strategic_term(d, 0, 1, spec) == 0
-    assert nt.strategic_term(d, 1, 3, spec) == 0
+    assert pair_term("transitivity", d, 0, 2) == 2  # via 1 and via 3
+    assert pair_term("transitivity", d, 0, 1) == 0
+    assert pair_term("transitivity", d, 1, 3) == 0
     n = 5
     complete = nt.from_edge_list(
         [(i, j) for i in range(n) for j in range(n) if i != j], n
     )
-    spec5 = nt.transitivity_spec(n)
     assert all(
-        nt.strategic_term(complete, i, j, spec5) == n - 2
+        pair_term("transitivity", complete, i, j) == n - 2
         for i in range(n)
         for j in range(n)
         if i != j
@@ -150,12 +148,15 @@ def test_transitivity_counts_two_paths():
 
 def test_customer_product_multiplies_out_degrees():
     # sender 0 keeps 2 other arcs, target 1 sends 2, so s_01 = 2 * 2
-    spec = nt.customer_product_spec(6)
     d = nt.from_edge_list([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)], 6)
-    assert nt.strategic_term(d, 0, 1, spec) == 4
-    assert nt.strategic_term(d, 1, 0, spec) == 2 * 3
-    assert nt.strategic_term(d, 2, 3, spec) == 0
-    assert nt.strategic_term(d, 0, 4, spec) == 3 * 0
+    assert pair_term("customer_product", d, 0, 1) == 4
+    assert pair_term("customer_product", d, 1, 0) == 2 * 3
+    assert pair_term("customer_product", d, 2, 3) == 0
+    assert pair_term("customer_product", d, 0, 4) == 3 * 0
+
+
+def test_pair_oracle_covers_every_built_in_term():
+    assert set(PAIR_TERMS) == set(_SPEC_BUILDERS)
 
 
 def test_pair_and_matrix_forms_agree():
@@ -170,7 +171,7 @@ def test_pair_and_matrix_forms_agree():
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        assert s[i, j] == spec.pair_fn(d, i, j)
+                        assert s[i, j] == pair_term(kind, d, i, j)
     # The complete digraph at n = 200 has the largest two-path counts; the
     # float64 products must equal the int64 product exactly.
     n = 200
@@ -182,7 +183,7 @@ def test_pair_and_matrix_forms_agree():
     n_paths = int(two_paths.sum() - np.trace(two_paths))
     n_closed = int((two_paths * a64).sum())
     d = nt.AdjacencyMatrix.from_dense(a)
-    assert nt.transitivity_index(d) == n_closed / n_paths
+    assert transitivity_index(d) == n_closed / n_paths
 
 
 def test_own_arc_never_enters_the_strategic_term():
@@ -191,14 +192,13 @@ def test_own_arc_never_enters_the_strategic_term():
         n = rng.randrange(3, 8)
         d = random_digraph(n, 0.5, rng)
         for kind in ("reciprocity", "transitivity", "customer_product"):
-            spec = nt.strategic_spec(kind, n)
             for i in range(n):
                 for j in range(n):
                     if i == j:
                         continue
-                    before = spec.pair_fn(d, i, j)
+                    before = pair_term(kind, d, i, j)
                     d.set_arc(i, j, not d.has_arc(i, j))
-                    assert spec.pair_fn(d, i, j) == before
+                    assert pair_term(kind, d, i, j) == before
                     d.set_arc(i, j, not d.has_arc(i, j))
 
 
@@ -222,12 +222,6 @@ def test_strategic_spec_lookup():
     assert nt.strategic_spec("customer_product", 9).kind == "customer_product"
     with pytest.raises(ValueError, match="reciprocity"):
         nt.strategic_spec("nonsense", 9)
-
-
-def test_strategic_term_rejects_the_diagonal():
-    d = nt.from_edge_list([(0, 1)], 3)
-    with pytest.raises(ValueError, match="distinct"):
-        nt.strategic_term(d, 1, 1, nt.reciprocity_spec())
 
 
 # -- null log-likelihood ------------------------------------------------------------
@@ -262,7 +256,7 @@ def test_log_likelihood_matches_per_pair_recount():
         d = random_digraph(n, 0.45, rng)
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng)
-        mu = nt.systematic_utility(delta, g)
+        mu = systematic_utility(delta, g)
         expected = 0.0
         for i in range(n):
             for j in range(n):
@@ -402,6 +396,30 @@ def test_mle_detects_saturated_group_cell_separation():
         nt.mle_null(d, g)
 
 
+def test_mle_reports_separation_behind_interior_margins():
+    # Every degree and group cell is interior, yet the likelihood has no
+    # maximum: the ascent itself must give up, and says no margin is to blame.
+    arcs = [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 0), (3, 0), (4, 1),
+            (4, 2), (4, 5), (5, 1), (5, 4)]
+    d = nt.from_edge_list(arcs, 6)
+    g = nt.GroupAssignment((0, 1, 0, 0, 1, 1), 2)
+    with pytest.raises(nt.SeparationError) as exc:
+        nt.mle_null(d, g)
+    assert str(exc.value) == (
+        "null MLE diverged (|parameter| > 40); likely perfect separation: "
+        "no degenerate margins found"
+    )
+    arcs = [(0, 2), (0, 3), (0, 4), (1, 0), (2, 4), (3, 0), (3, 1), (3, 4),
+            (4, 0), (4, 1), (4, 3)]
+    d = nt.from_edge_list(arcs, 5)
+    with pytest.raises(nt.SeparationError) as exc:
+        nt.mle_null(d, nt.GroupAssignment.single_group(5))
+    assert str(exc.value) == (
+        "null MLE stalled with saturated link probabilities; likely perfect "
+        "separation: no degenerate margins found"
+    )
+
+
 def test_mle_validates_group_shape():
     d = nt.from_edge_list([(0, 1)], 3)
     with pytest.raises(ValueError, match="does not match"):
@@ -413,7 +431,7 @@ def test_mle_validates_group_shape():
 
 def test_logistic_shocks_follow_the_logistic_law():
     rng = np.random.default_rng(17)
-    shocks = nt.draw_logistic_shocks(rng, 200)
+    shocks = draw_logistic_shocks(rng, 200)
     assert shocks.shape == (200, 200)
     assert sps.kstest(shocks.ravel(), "logistic").pvalue > 0.01
 
@@ -423,7 +441,7 @@ def test_simulate_null_thresholds_shocks_against_utilities():
         np.array([1.0, -1.0, 0.0]), np.array([0.5, 0.0, -0.5]), np.zeros((1, 1))
     )
     g = nt.GroupAssignment.single_group(3)
-    mu = nt.systematic_utility(delta, g)
+    mu = systematic_utility(delta, g)
     shocks = np.array(
         [[0.0, 0.9, 0.6], [-0.4, 0.0, -2.0], [0.7, -0.1, 0.0]]
     )
@@ -459,7 +477,7 @@ def test_zero_interaction_reproduces_the_null_simulator_exactly():
         K = rng.choice([1, 2])
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng)
-        shocks = nt.draw_logistic_shocks(np.random.default_rng(trial), n)
+        shocks = draw_logistic_shocks(np.random.default_rng(trial), n)
         base = nt.simulate_null(delta, g, shocks=shocks)
         for kind in ("reciprocity", "transitivity", "customer_product"):
             spec = nt.strategic_spec(kind, n)
@@ -477,7 +495,7 @@ def test_positive_interaction_output_is_an_equilibrium_superset_of_null():
         gamma = rng.choice([0.1, 0.5, 2.0])
         kind = rng.choice(["reciprocity", "transitivity", "customer_product"])
         spec = nt.strategic_spec(kind, n)
-        shocks = nt.draw_logistic_shocks(np.random.default_rng(100 + trial), n)
+        shocks = draw_logistic_shocks(np.random.default_rng(100 + trial), n)
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
         assert nt.is_equilibrium(d, delta, gamma, spec, g, shocks)
         base = set(nt.simulate_null(delta, g, shocks=shocks).arcs())
@@ -488,8 +506,8 @@ def test_equilibrium_check_fails_after_tampering():
     n = 6
     g = nt.GroupAssignment.single_group(n)
     delta = nt.NuisanceParams(np.zeros(n), np.zeros(n), np.zeros((1, 1)))
-    spec = nt.reciprocity_spec()
-    shocks = nt.draw_logistic_shocks(np.random.default_rng(23), n)
+    spec = reciprocity_spec()
+    shocks = draw_logistic_shocks(np.random.default_rng(23), n)
     d = nt.simulate_alternative(delta, 0.7, spec, g, shocks=shocks)
     assert nt.is_equilibrium(d, delta, 0.7, spec, g, shocks)
     d.set_arc(0, 1, not d.has_arc(0, 1))
@@ -503,7 +521,7 @@ def test_negative_interaction_can_cycle_without_an_equilibrium():
     g = nt.GroupAssignment.single_group(2)
     shocks = np.array([[0.0, -0.5], [-0.5, 0.0]])
     with pytest.raises(ValueError, match="cycled"):
-        nt.simulate_alternative(delta, -1.0, nt.reciprocity_spec(), g, shocks=shocks)
+        nt.simulate_alternative(delta, -1.0, reciprocity_spec(), g, shocks=shocks)
 
 
 def test_negative_interaction_converges_when_a_fixed_point_exists():
@@ -513,8 +531,8 @@ def test_negative_interaction_converges_when_a_fixed_point_exists():
         [[0.0, -3.0, 4.0], [4.0, 0.0, -3.0], [4.0, 4.0, 0.0]]
     )
     # arcs 0->1 and 1->2 are on even against reciprocation, everything else off
-    d = nt.simulate_alternative(delta, -1.0, nt.reciprocity_spec(), g, shocks=shocks)
-    assert nt.is_equilibrium(d, delta, -1.0, nt.reciprocity_spec(), g, shocks)
+    d = nt.simulate_alternative(delta, -1.0, reciprocity_spec(), g, shocks=shocks)
+    assert nt.is_equilibrium(d, delta, -1.0, reciprocity_spec(), g, shocks)
     assert sorted(d.arcs()) == [(0, 1), (1, 2)]
 
 
@@ -522,4 +540,4 @@ def test_simulate_alternative_needs_a_randomness_source():
     delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
     g = nt.GroupAssignment.single_group(3)
     with pytest.raises(ValueError, match="rng"):
-        nt.simulate_alternative(delta, 0.5, nt.reciprocity_spec(), g)
+        nt.simulate_alternative(delta, 0.5, reciprocity_spec(), g)

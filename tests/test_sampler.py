@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import netformtest as nt
-from netformtest.graphs import cross_link_matrix, degree_sequence
+from netformtest.graphs import (
+    CrossLinkMatrix,
+    DegreeSequence,
+    cross_link_matrix,
+    degree_sequence,
+)
 from netformtest.sampler import (
     ChainConfig,
     ChainStats,
@@ -792,15 +797,15 @@ def test_enumeration_order_is_deterministic():
 def test_inconsistent_margins_enumerate_to_nothing():
     g1 = nt.GroupAssignment.single_group(4)
     # cross-link total disagrees with the degree total
-    s = nt.DegreeSequence((1, 1, 1, 0), (0, 1, 1, 1))
-    assert enumerate_reference_set(s, nt.CrossLinkMatrix(((2,),)), g1) == []
+    s = DegreeSequence((1, 1, 1, 0), (0, 1, 1, 1))
+    assert enumerate_reference_set(s, CrossLinkMatrix(((2,),)), g1) == []
     # a degree exceeding n - 1 is unrealizable without self-loops
-    s = nt.DegreeSequence((4, 0, 0, 0), (1, 1, 1, 1))
-    assert enumerate_reference_set(s, nt.CrossLinkMatrix(((4,),)), g1) == []
+    s = DegreeSequence((4, 0, 0, 0), (1, 1, 1, 1))
+    assert enumerate_reference_set(s, CrossLinkMatrix(((4,),)), g1) == []
     # consistent totals that no simple digraph can realize
     g0 = nt.GroupAssignment.single_group(3)
-    s = nt.DegreeSequence((1, 1, 0), (2, 0, 0))
-    assert enumerate_reference_set(s, nt.CrossLinkMatrix(((2,),)), g0) == []
+    s = DegreeSequence((1, 1, 0), (2, 0, 0))
+    assert enumerate_reference_set(s, CrossLinkMatrix(((2,),)), g0) == []
 
 
 def test_enumeration_validates_shapes_and_size():
@@ -817,5 +822,5 @@ def test_enumeration_validates_shapes_and_size():
         )
     with pytest.raises(ValueError, match="cross-link"):
         enumerate_reference_set(
-            degree_sequence(d6), nt.CrossLinkMatrix(((0, 0), (0, 0))), g6
+            degree_sequence(d6), CrossLinkMatrix(((0, 0), (0, 0))), g6
         )

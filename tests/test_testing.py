@@ -15,11 +15,19 @@ import pytest
 
 import netformtest as nt
 from netformtest._rng import substream_random
+from netformtest.graphs import (
+    cross_link_matrix,
+    degree_sequence,
+    reciprocity_index,
+    transitivity_index,
+)
+from netformtest.model import reciprocity_spec, systematic_utility, transitivity_spec
 from netformtest.sampler import ChainConfig
 from netformtest.testing import (
     _NS_PILOT,
     REFERENCES,
     TI_NOTE,
+    CriticalValues,
     Statistic,
     _density_only_draw,
     decided_at,
@@ -33,6 +41,7 @@ from _fixtures import (
     dyad_likelihood_oracle,
     fittable_network,
     logistic,
+    pair_term,
     random_delta,
     random_digraph,
     random_groups,
@@ -42,14 +51,14 @@ from _fixtures import (
 
 def naive_locally_best(d, delta, spec, g):
     """Per-pair recount of sum (d_ij - F(mu_ij)) * s_ij(d)."""
-    mu = nt.systematic_utility(delta, g)
+    mu = systematic_utility(delta, g)
     total = 0.0
     for i in range(d.n):
         for j in range(d.n):
             if i == j:
                 continue
             resid = (1.0 if d.has_arc(i, j) else 0.0) - logistic(mu[i, j])
-            total += resid * spec.pair_fn(d, i, j)
+            total += resid * pair_term(spec.kind, d, i, j)
     return total
 
 
@@ -100,7 +109,7 @@ def test_locally_best_reciprocity_hand_value():
     g = nt.GroupAssignment.single_group(2)
     # s_01 = 0 (no return arc), s_10 = 1; only the absent arc 1->0 contributes
     assert nt.locally_best_statistic(
-        d, delta, nt.reciprocity_spec(), g
+        d, delta, reciprocity_spec(), g
     ) == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -109,7 +118,7 @@ def test_locally_best_depends_only_on_systematic_utility():
     d = random_digraph(6, 0.5, rng)
     g = random_groups(6, 2, rng)
     delta = random_delta(6, 2, rng)
-    spec = nt.transitivity_spec(6)
+    spec = transitivity_spec(6)
     base = nt.locally_best_statistic(d, delta, spec, g)
     shifted = nt.NuisanceParams(delta.sender + 2.3, delta.receiver - 2.3, delta.mixing)
     assert nt.locally_best_statistic(d, shifted, spec, g) == pytest.approx(
@@ -193,7 +202,7 @@ def test_uniform_selection_simulation_matches_exact_dyad_probabilities():
     g = nt.GroupAssignment.single_group(2)
     for mu_vec, seed in (((0.0, 0.0), 23), ((0.6, -0.8), 31)):
         delta = nt.NuisanceParams(np.array(mu_vec), np.zeros(2), np.zeros((1, 1)))
-        mu = nt.systematic_utility(delta, g)
+        mu = systematic_utility(delta, g)
         freqs = simulate_uniform_ne_dyad(
             mu[0, 1], mu[1, 0], gamma, n_sims, np.random.default_rng(seed)
         )
@@ -209,7 +218,7 @@ def test_uniform_selection_simulation_matches_exact_dyad_probabilities():
 def test_score_is_the_likelihood_derivative_through_zero():
     rng = random.Random(29)
     h = 1e-5
-    spec = nt.reciprocity_spec()
+    spec = reciprocity_spec()
     for _ in range(8):
         n = rng.choice([2, 3])
         g = random_groups(n, rng.choice([1, 2]), rng)
@@ -232,8 +241,6 @@ def test_reciprocity_likelihood_input_validation():
     delta = nt.NuisanceParams(np.zeros(2), np.zeros(2), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="gamma"):
         nt.exact_reciprocity_likelihood(d, g, delta, -0.5)
-    with pytest.raises(ValueError, match="selection"):
-        nt.exact_reciprocity_likelihood(d, g, delta, 0.5, selection="first")
 
 
 # -- statistic specifications ----------------------------------------------------
@@ -262,10 +269,10 @@ def test_enumerated_p_value_is_the_exact_tail():
     stat = nt.TestStatisticSpec(kind="reciprocity_index")
     res = nt.conditional_p_value(d, g, stat, reference="enumerated")
     members = nt.enumerate_reference_set(
-        nt.degree_sequence(d), nt.cross_link_matrix(d, g), g
+        degree_sequence(d), cross_link_matrix(d, g), g
     )
-    observed = nt.reciprocity_index(d)
-    others = [nt.reciprocity_index(m) for m in members if m.key() != d.key()]
+    observed = reciprocity_index(d)
+    others = [reciprocity_index(m) for m in members if m.key() != d.key()]
     assert res.n_draws == len(others) == len(members) - 1
     expected_p = (1 + sum(v >= observed for v in others)) / (len(others) + 1)
     assert res.p_value == pytest.approx(expected_p, abs=1e-15)
@@ -422,7 +429,7 @@ def test_fitted_statistic_uses_one_mle_for_all_draws():
         n_draws=50, cfg=ChainConfig(tau=50, q=0.5), seed=59,
     )
     delta = nt.mle_null(d, g)
-    spec = nt.transitivity_spec(9)
+    spec = transitivity_spec(9)
     assert res.observed == pytest.approx(
         nt.locally_best_statistic(d, delta, spec, g), abs=1e-9
     )
@@ -442,7 +449,7 @@ def test_provided_delta_is_used_verbatim():
     )
     res = nt.conditional_p_value(d, g, stat, reference="enumerated")
     assert res.observed == pytest.approx(
-        nt.locally_best_statistic(d, delta, nt.reciprocity_spec(), g), abs=1e-12
+        nt.locally_best_statistic(d, delta, reciprocity_spec(), g), abs=1e-12
     )
 
 
@@ -528,7 +535,7 @@ def test_finer_conditioning_absorbs_homophily_induced_transitivity():
         )
         means[ref] = float(res.null_draws.mean())
         ps[ref] = res.p_value
-    observed = nt.transitivity_index(d)
+    observed = transitivity_index(d)
     # coarse references miss the homophily and spuriously flag clustering
     assert ps["density_only"] < 0.05
     assert ps["degree_only"] < 0.05
@@ -544,7 +551,7 @@ def test_finer_conditioning_absorbs_homophily_induced_transitivity():
 def test_critical_values_make_exact_size_on_the_reference_set():
     d, g, _ = build_fixture(CHAIN_FIXTURES[2])
     members = nt.enumerate_reference_set(
-        nt.degree_sequence(d), nt.cross_link_matrix(d, g), g
+        degree_sequence(d), cross_link_matrix(d, g), g
     )
     delta = nt.NuisanceParams(
         np.full(4, -0.3), np.linspace(-0.5, 0.5, 4), np.array([[0.0, 0.4], [-0.4, 0.0]])
@@ -555,7 +562,7 @@ def test_critical_values_make_exact_size_on_the_reference_set():
         delta_source="provided",
         delta=delta,
     )
-    spec = nt.transitivity_spec(4)
+    spec = transitivity_spec(4)
     values = [nt.locally_best_statistic(m, delta, spec, g) for m in members]
     for alpha in (0.05, 0.1, 1 / 3, 0.5, 0.9):
         cv = nt.exact_conditional_critical_values(d, g, stat, alpha)
@@ -568,9 +575,9 @@ def test_critical_values_handle_ties_in_the_support():
     d, g, _ = build_fixture(CHAIN_FIXTURES[0])
     stat = nt.TestStatisticSpec(kind="reciprocity_index")
     members = nt.enumerate_reference_set(
-        nt.degree_sequence(d), nt.cross_link_matrix(d, g), g
+        degree_sequence(d), cross_link_matrix(d, g), g
     )
-    values = [nt.reciprocity_index(m) for m in members]  # 6 zeros and 3 ones
+    values = [reciprocity_index(m) for m in members]  # 6 zeros and 3 ones
     for alpha in (0.1, 1 / 3, 0.75):
         cv = nt.exact_conditional_critical_values(d, g, stat, alpha)
         size = sum(cv.rejection_prob(v) for v in values) / len(values)
@@ -606,7 +613,7 @@ def test_critical_values_refuse_undefined_statistics():
 
 
 def test_rejection_probability_profile():
-    cv = nt.CriticalValues(cutoff=2.0, randomization=0.4)
+    cv = CriticalValues(cutoff=2.0, randomization=0.4)
     assert cv.rejection_prob(2.5) == 1.0
     assert cv.rejection_prob(2.0) == 0.4
     assert cv.rejection_prob(1.5) == 0.0
