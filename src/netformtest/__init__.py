@@ -11,6 +11,8 @@ from its module (``netformtest.graphs``, ``.model``, ``.sampler``,
 ``.testing``, ``.harness``, ``.cli``).
 """
 
+__version__ = "0.1.0"
+
 from .graphs import (
     AdjacencyMatrix,
     DataError,
@@ -46,7 +48,6 @@ from .testing import (
     locally_best_statistic,
     theorem2_derivative,
 )
-from .cli import __version__
 
 __all__ = [
     "AdjacencyMatrix",

@@ -54,11 +54,10 @@ from .model import (
     simulate_null,
     strategic_spec,
 )
+from . import __version__
 from ._rng import substream_generator
 from .sampler import ChainConfig, ChainStats, FrozenChainError, enumerate_reference_set
 from .testing import TestStatisticSpec, conditional_p_value, reference_draws
-
-__version__ = "0.1.0"
 
 __all__ = ["get_parser", "main"]
 

@@ -22,15 +22,13 @@ from the rejection rates, with counts reported.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from ._rng import seed_sequence, substream_generator
-from .graphs import AdjacencyMatrix, GroupAssignment
+from .graphs import GroupAssignment
 from .model import (
     NuisanceParams,
     SeparationError,
@@ -255,6 +253,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, jobs: int = 1) -> PowerTabl
     if jobs <= 1:
         outcomes = list(map(replicate, gamma_indices, reps))
     else:
+        # Imported here, where a pool opens: it loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(replicate, gamma_indices, reps, chunksize=8))
 

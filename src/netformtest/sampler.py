@@ -18,19 +18,30 @@ Walk mechanics (0-based positions): even positions are *active*, odd positions
 out of that node; the step leaving an odd position picks a node whose arc
 *into* the odd-position node is absent and unmarked.  Both arcs point into the
 passive node.  A walk closes a cycle when it revisits a node in the same role;
-dead ends (no feasible continuation) end the walk with no cycle.
+dead ends (no feasible continuation) end the walk with no cycle.  A draw keeps,
+beside the row and column bitmasks, each node's sorted out-neighbours and
+sorted non-in-neighbours (every k != j whose arc k -> j is absent), updated
+with every switched arc.  An active step from i whose present arcs carry no
+mark, or a passive step at j whose absent in-arcs carry none, reads its choice
+from that list; any other step takes it from the bitmask of unmarked
+candidates.  Every step of an attempt's first walk is of the first kind,
+since revisiting a node in the same role closes the walk.  A single
+:func:`markov_step` builds no lists and takes every choice from the bitmasks.
 
 Random numbers: every chain function takes an explicit ``random.Random``.  The
 laziness and extension coins use ``rng.random()``; every uniform choice of a
 walk (the start node and each step) calls ``rng.getrandbits`` exactly as
 ``rng.randrange`` would, so a seeded stream gives the same walks, draws and
-tallies as a chain that calls ``randrange`` for each choice.
+tallies as a chain that calls ``randrange`` for each choice.  A list and a
+bitmask hold the same candidates in the same increasing order, so a choice
+among c candidates draws the same bits and picks the same node either way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
 
@@ -137,7 +148,27 @@ def _select_bit(mask: int, t: int, nbytes: int) -> int:
     raise ValueError("t must be smaller than the number of set bits")
 
 
-def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
+def _set_bits(mask: int, nbytes: int) -> list[int]:
+    """Positions of the set bits of ``mask`` in increasing order."""
+    return [
+        pos + i
+        for pos, byte in zip(range(0, 8 * nbytes, 8), mask.to_bytes(nbytes, "little"))
+        for i in _BYTE_BITS[byte]
+    ]
+
+
+def _neighbour_lists(d: AdjacencyMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Sorted out-neighbours of every node, and sorted non-in-neighbours: for
+    node j, every k != j whose arc k -> j is absent."""
+    n = d.n
+    nbytes = (n + 7) >> 3
+    full = (1 << n) - 1
+    outs = [_set_bits(row, nbytes) for row in d.rows]
+    nonins = [_set_bits(full & ~col & ~(1 << j), nbytes) for j, col in enumerate(d.cols)]
+    return outs, nonins
+
+
+def _walk(rows, cols, n, mrows, mcols, rng, counts=None, outs=None, nonins=None):
     """Grow one alternating walk under the given marks (mutated in place).
 
     Returns (nodes, cycle_bounds); cycle_bounds is None for dead ends.  When
@@ -147,13 +178,16 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
     Each uniform choice among c options is ``Random._randbelow(c)`` written
     out: draw c.bit_length() bits and redraw while the value is at least c.
     That is exactly the ``getrandbits`` sequence of ``rng.randrange(c)``, and
-    no bits are drawn when c == 1.  The chosen node is the t-th lowest set bit
-    of the candidate mask (:func:`_select_bit`).
+    no bits are drawn when c == 1.  Given the neighbour lists ``outs`` and
+    ``nonins`` of :func:`_neighbour_lists`, a choice that no mark touches
+    reads the t-th candidate from its list; any other choice takes the t-th
+    lowest set bit of the candidate mask (:func:`_select_bit`).
     """
     full = (1 << n) - 1
     nbytes = (n + 7) >> 3
     getrandbits = rng.getrandbits
     select_bit = _select_bit
+    lists = outs is not None
     kbits = n.bit_length()
     start = getrandbits(kbits)
     while start >= n:
@@ -164,18 +198,24 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
     cur = start
     while True:
         # Active step: follow an unmarked present arc out of cur.
-        cand = rows[cur] & ~mrows[cur]
-        if not cand:
+        row = rows[cur]
+        if lists and not row & mrows[cur]:
+            choices = outs[cur]
+            c = len(choices)
+        else:
+            choices = None
+            cand = row & ~mrows[cur]
+            c = cand.bit_count()
+        if not c:
             return nodes, None
-        c = cand.bit_count()
         if c > 1:
             kbits = c.bit_length()
             t = getrandbits(kbits)
             while t >= c:
                 t = getrandbits(kbits)
-            j = select_bit(cand, t, nbytes)
+            j = choices[t] if choices is not None else select_bit(cand, t, nbytes)
         else:
-            j = cand.bit_length() - 1
+            j = choices[0] if choices is not None else cand.bit_length() - 1
         mrows[cur] |= 1 << j
         mcols[j] |= 1 << cur
         nodes.append(j)
@@ -186,18 +226,24 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
             return nodes, (p, len(nodes) - 1)
         pos_passive[j] = len(nodes) - 1
         # Passive step: pick k whose arc k -> j is absent and unmarked.
-        cand = full & ~cols[j] & ~mcols[j] & ~(1 << j)
-        if not cand:
+        col = cols[j]
+        if lists and not mcols[j] & ~col:
+            choices = nonins[j]
+            c = len(choices)
+        else:
+            choices = None
+            cand = full & ~col & ~mcols[j] & ~(1 << j)
+            c = cand.bit_count()
+        if not c:
             return nodes, None
-        c = cand.bit_count()
         if c > 1:
             kbits = c.bit_length()
             t = getrandbits(kbits)
             while t >= c:
                 t = getrandbits(kbits)
-            k = select_bit(cand, t, nbytes)
+            k = choices[t] if choices is not None else select_bit(cand, t, nbytes)
         else:
-            k = cand.bit_length() - 1
+            k = choices[0] if choices is not None else cand.bit_length() - 1
         mrows[k] |= 1 << j
         mcols[j] |= 1 << k
         nodes.append(k)
@@ -253,28 +299,21 @@ def switch_cycle(d: AdjacencyMatrix, arcs: list[tuple[int, int, bool]]) -> None:
         d.set_arc(u, v, not present)
 
 
-def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -> StepInfo:
-    """Advance the chain by one step, mutating ``d`` in place.
-
-    With probability ``cfg.q`` the step is lazy.  Otherwise walks are grown
-    under shared marks until either the accumulated cross-group violations of
-    all recorded cycles cancel (then every recorded cycle is switched and the
-    move is accepted) or a fair coin ends the attempt (then nothing changes).
-    A cycle-free first walk cancels trivially and is accepted as a no-op.
+def _attempt(d, codes, K, rng, outs=None, nonins=None):
+    """The non-lazy part of :func:`markov_step` on ``d``; returns (n_walks,
+    flips), with flips None when the attempt is abandoned.  The neighbour
+    lists, if given, are passed to :func:`_walk` and kept in step with every
+    switched arc.
     """
-    if rng.random() < cfg.q:
-        return StepInfo("lazy", 0, 0)
     n = d.n
     rows, cols = d.rows, d.cols
-    codes = g.codes
-    K = g.n_groups
     mrows = [0] * n
     mcols = [0] * n
     total = [0] * (K * K)
     cycles: list[tuple[list[int], tuple[int, int]]] = []
     n_walks = 0
     while True:
-        nodes, bounds = _walk(rows, cols, n, mrows, mcols, rng)
+        nodes, bounds = _walk(rows, cols, n, mrows, mcols, rng, None, outs, nonins)
         n_walks += 1
         if bounds is not None:
             cycles.append((nodes, bounds))
@@ -293,10 +332,34 @@ def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -
                 arcs = _cycle_arc_triples(nodes, bounds)
                 switch_cycle(d, arcs)
                 flips += len(arcs)
-            return StepInfo("accepted", n_walks, flips)
-        if rng.random() < 0.5:
-            continue
+                if outs is not None:
+                    for u, v, present in arcs:
+                        if present:
+                            outs[u].remove(v)
+                            insort(nonins[v], u)
+                        else:
+                            insort(outs[u], v)
+                            nonins[v].remove(u)
+            return n_walks, flips
+        if rng.random() >= 0.5:
+            return n_walks, None
+
+
+def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -> StepInfo:
+    """Advance the chain by one step, mutating ``d`` in place.
+
+    With probability ``cfg.q`` the step is lazy.  Otherwise walks are grown
+    under shared marks until either the accumulated cross-group violations of
+    all recorded cycles cancel (then every recorded cycle is switched and the
+    move is accepted) or a fair coin ends the attempt (then nothing changes).
+    A cycle-free first walk cancels trivially and is accepted as a no-op.
+    """
+    if rng.random() < cfg.q:
+        return StepInfo("lazy", 0, 0)
+    n_walks, flips = _attempt(d, g.codes, g.n_groups, rng)
+    if flips is None:
         return StepInfo("abandoned", n_walks, 0)
+    return StepInfo("accepted", n_walks, flips)
 
 
 def markov_draw(
@@ -309,13 +372,33 @@ def markov_draw(
     """Run ``cfg.tau`` chain steps on a copy of ``d`` and return the result.
 
     The input matrix is left untouched, so concurrent draws can share it.
-    Pass a :class:`ChainStats` to accumulate acceptance/flip tallies.
+    Pass a :class:`ChainStats` to accumulate acceptance/flip tallies.  The
+    steps are those of :func:`markov_step`, made on the copy together with its
+    neighbour lists (:func:`_neighbour_lists`), which are built once here.
     """
     out = d.copy()
-    for _ in range(cfg.tau):
-        info = markov_step(out, g, cfg, rng)
-        if stats is not None:
-            stats.update(info)
+    tau = cfg.tau
+    outs, nonins = _neighbour_lists(out)
+    codes, K = g.codes, g.n_groups
+    q = cfg.q
+    random = rng.random
+    attempt = _attempt
+    lazy = abandoned = flips = 0
+    for _ in range(tau):
+        if random() < q:
+            lazy += 1
+            continue
+        step_flips = attempt(out, codes, K, rng, outs, nonins)[1]
+        if step_flips is None:
+            abandoned += 1
+        else:
+            flips += step_flips
+    if stats is not None:
+        stats.steps += tau
+        stats.lazy += lazy
+        stats.accepted += tau - lazy - abandoned
+        stats.abandoned += abandoned
+        stats.flips += flips
     return out
 
 

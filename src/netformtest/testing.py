@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -157,7 +156,7 @@ def exact_reciprocity_likelihood(
             "this likelihood only covers gamma >= 0"
         )
     mu = systematic_utility(delta, g)
-    F0 = logistic_cdf(np.where(np.isnan(mu), 0.0, mu))
+    F0 = _link_probabilities(delta, g)
     Fg = logistic_cdf(np.where(np.isnan(mu), 0.0, mu + gamma))
     prob = 1.0
     n = d.n
@@ -354,6 +353,9 @@ class ReferenceDraws:
         if stop is not None or per >= self.n_draws or self.reference == "enumerated":
             rows, stats = self._chunk(statistics, 0, self.n_draws, stop)
         else:
+            # Imported here, where a pool opens: it loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = [
                     pool.submit(self._chunk, statistics, lo, min(lo + per, self.n_draws))

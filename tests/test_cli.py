@@ -9,9 +9,11 @@ provenance manifest.
 import csv
 import importlib.metadata
 import json
+import os
 import pkgutil
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -557,13 +559,28 @@ def test_version_flag_exits_cleanly(capsys):
 
 
 def test_package_version_is_the_project_version():
-    # One version string: the package re-exports the CLI's, and the project
+    # One version string: the CLI re-exports the package's, and the project
     # metadata states the same.
     assert nt.__version__ is netformtest.cli.__version__
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == nt.__version__
+
+
+def test_package_import_leaves_the_cli_and_pool_modules_unloaded():
+    # The command line's and the worker pools' modules load only when used.
+    src = str(Path(netformtest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    heavy = ["argparse", "json", "hashlib", "secrets", "concurrent.futures", "multiprocessing"]
+    probe = f"import sys, netformtest; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-m", "netformtest", "--version"], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, nt.__version__)
 
 
 def test_console_script_is_installed():
