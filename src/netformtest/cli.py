@@ -499,7 +499,10 @@ def _add_chain_options(p: argparse.ArgumentParser) -> None:
         help="pilot-tune tau to modify each arc R times per draw (ignored with --tau)",
     )
     p.add_argument(
-        "--q", type=float, default=0.5, help="laziness probability of the pilot and the draws"
+        "--q",
+        type=float,
+        default=0.5,
+        help="same-group trade probability of the pilot and the draws",
     )
 
 

@@ -205,7 +205,8 @@ class GroupAssignment:
 
     ``masks[k]`` is the bitmask of nodes in group ``k`` (bit i set iff node i
     belongs to group k), precomputed because the cross-link bookkeeping in the
-    sampler and the MLE both want it.
+    sampler and the MLE both want it.  ``members[k]`` lists the same nodes in
+    increasing order, precomputed for the sampler's same-group trades.
     """
 
     codes: tuple[int, ...]
@@ -221,17 +222,21 @@ class GroupAssignment:
             seen[c] = True
         if not all(seen):
             raise ValueError("every group must be non-empty")
-        object.__setattr__(self, "_masks", self._build_masks())
-
-    def _build_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n_groups
+        members: list[list[int]] = [[] for _ in range(self.n_groups)]
         for i, c in enumerate(self.codes):
-            masks[c] |= 1 << i
-        return tuple(masks)
+            members[c].append(i)
+        object.__setattr__(self, "_members", tuple(map(tuple, members)))
+        object.__setattr__(
+            self, "_masks", tuple(sum(1 << i for i in group) for group in members)
+        )
 
     @property
     def masks(self) -> tuple[int, ...]:
         return self._masks  # type: ignore[attr-defined]
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return self._members  # type: ignore[attr-defined]
 
     @property
     def n_nodes(self) -> int:

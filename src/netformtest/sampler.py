@@ -1,17 +1,32 @@
 """Uniform sampling over digraphs with fixed degrees and cross-group arc counts.
 
 The reference set conditions on every node's out- and in-degree plus the K x K
-matrix of arc counts between groups.  A lazy Markov chain moves between such
-digraphs by switching *alternating cycles*: closed walks whose arcs alternate
-present/absent and all point into every second node, so that flipping all of
-them preserves each node's degrees.  A move attempt strings together alternating
-walks ("schlaufen") until the group-level arc-count changes cancel to zero, at
-which point all recorded cycles are switched at once; otherwise a fair coin
-decides between extending the attempt and abandoning it.  Traversed links stay
-marked for the whole attempt, which makes the walks within one attempt
-link-disjoint and the overall transition kernel symmetric — so the chain's
-stationary distribution is uniform on the reference set, no
-acceptance-probability correction needed.
+matrix of arc counts between groups.  A Markov chain moves between such
+digraphs in two kinds of step.  With probability ``q`` a step is a
+*same-group trade* (Strona et al. 2014, Curveball; Carstens, Berger & Strona
+2016 for digraphs): two nodes i and j of one group pool the nodes that exactly
+one of them links to (or is linked from), and i takes a uniform random subset
+of the pool of the size it held, j the rest.  Otherwise the step switches
+*alternating cycles*: closed walks whose arcs alternate present/absent and all
+point into every second node, so that flipping all of them preserves each
+node's degrees.  A move attempt strings together alternating walks
+("schlaufen") until the group-level arc-count changes cancel to zero, at which
+point all recorded cycles are switched at once; otherwise a fair coin decides
+between extending the attempt and abandoning it.  Traversed links stay marked
+for the whole attempt, which makes the walks within one attempt link-disjoint
+and the cycle kernel symmetric.
+
+For fixed (i, j, side) a trade resamples uniformly within the networks that
+differ only in how the pool is split, so it is an orthogonal projection in
+L2(uniform), and the trade kernel, their average, is symmetric with spectrum
+in [0, 1].  The chain's kernel q * trade + (1 - q) * cycle is therefore
+symmetric, so its stationary distribution is uniform on the reference set with
+no acceptance-probability correction; it is irreducible through the cycle
+moves, and aperiodic since a trade can leave the network as it is.  It is
+also below q * I + (1 - q) * cycle, the chain whose q-steps do nothing, in the
+positive semidefinite order, so no statistic's asymptotic variance per step
+is larger than under that lazy chain (Peskun-Tierney ordering; Mira 2001,
+*Stat. Sci.* 16:340).
 
 Walk mechanics (0-based positions): even positions are *active*, odd positions
 *passive*.  The step leaving an even position follows a present, unmarked arc
@@ -29,19 +44,20 @@ since revisiting a node in the same role closes the walk.  A single
 :func:`markov_step` builds no lists and takes every choice from the bitmasks.
 
 Random numbers: every chain function takes an explicit ``random.Random``.  The
-laziness and extension coins use ``rng.random()``; every uniform choice of a
-walk (the start node and each step) calls ``rng.getrandbits`` exactly as
-``rng.randrange`` would, so a seeded stream gives the same walks, draws and
-tallies as a chain that calls ``randrange`` for each choice.  A list and a
-bitmask hold the same candidates in the same increasing order, so a choice
-among c candidates draws the same bits and picks the same node either way.
+trade and extension coins use ``rng.random()``; every uniform choice of a walk
+(the start node and each step) and of a trade calls ``rng.getrandbits``
+exactly as ``rng.randrange`` would, so a seeded stream gives the same walks,
+trades, draws and tallies as a chain that calls ``randrange`` for each choice.
+A list and a bitmask hold the same candidates in the same increasing order, so
+a choice among c candidates draws the same bits and picks the same node either
+way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
 
@@ -71,7 +87,13 @@ class FrozenChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Chain parameters: walk length ``tau`` and laziness ``q``."""
+    """Chain parameters: walk length ``tau`` and trade probability ``q``.
+
+    Each step is a same-group trade with probability ``q`` and a
+    cycle-switching attempt otherwise.  ``q = 0`` switches cycles only;
+    ``q = 1`` is refused, since trades alone need not reach the whole
+    reference set (no trade turns a directed triangle into its reverse).
+    """
 
     tau: int
     q: float = 0.5
@@ -80,11 +102,12 @@ class ChainConfig:
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
         if not 0.0 <= self.q < 1.0:
-            raise ValueError("laziness q must lie in [0, 1)")
+            raise ValueError("trade probability q must lie in [0, 1)")
 
 
 class StepInfo(NamedTuple):
-    """Outcome of one chain step: kind is 'lazy', 'accepted' or 'abandoned'."""
+    """Outcome of one chain step: kind is 'lazy' (a same-group trade, with
+    the arcs it moved in ``flips``), 'accepted' or 'abandoned'."""
 
     kind: str
     n_walks: int
@@ -93,23 +116,19 @@ class StepInfo(NamedTuple):
 
 @dataclass
 class ChainStats:
-    """Running tallies over chain steps, for mixing diagnostics."""
+    """Running tallies over chain steps, for mixing diagnostics.
+
+    ``lazy`` counts the trade steps.  ``flips`` counts arc modifications:
+    each arc a cycle switch adds or removes, and each arc a trade moves from
+    one node of its pair to the other (i -> k becoming j -> k, or k -> i
+    becoming k -> j).
+    """
 
     steps: int = 0
     lazy: int = 0
     accepted: int = 0
     abandoned: int = 0
     flips: int = 0
-
-    def update(self, info: StepInfo) -> None:
-        self.steps += 1
-        self.flips += info.flips
-        if info.kind == "lazy":
-            self.lazy += 1
-        elif info.kind == "accepted":
-            self.accepted += 1
-        else:
-            self.abandoned += 1
 
     @property
     def acceptance_rate(self) -> float:
@@ -345,17 +364,133 @@ def _attempt(d, codes, K, rng, outs=None, nonins=None):
             return n_walks, None
 
 
+def _trade(d, members, codes, rng, outs=None, nonins=None):
+    """One same-group trade on ``d``; returns the number of arcs it moves.
+
+    Picks a node i uniformly, then j uniformly among the other members of
+    i's group (``members[codes[i]]``, sorted), then one bit: 0 trades the
+    out-sets of i and j (their rows), 1 their in-sets (their columns).  The
+    pool is the symmetric difference of the two sets, positions i and j left
+    out; every pool node is linked to exactly one of i and j.  i keeps as many
+    pool nodes as it had, now a uniform subset of that size, and j takes the
+    rest.  A singleton group or an empty pool leaves ``d`` unchanged.
+
+    The subset is drawn by a partial Fisher-Yates shuffle of the pool nodes in
+    increasing order: for t < s = min(a, p - a), with a the pool nodes i had
+    and p the pool size, swap entry t with entry t + randrange(p - t).  The
+    first s entries go to i if s == a, and to j otherwise.  Each uniform
+    choice draws its bits as :func:`_walk` does.  Each pool node that changes
+    hands moves one arc, from i to j or back.  The neighbour lists, if given,
+    are kept in step with every moved arc.
+    """
+    n = d.n
+    getrandbits = rng.getrandbits
+    kbits = n.bit_length()
+    i = getrandbits(kbits)
+    while i >= n:
+        i = getrandbits(kbits)
+    group = members[codes[i]]
+    c = len(group) - 1
+    if not c:
+        return 0
+    if c > 1:
+        kbits = c.bit_length()
+        t = getrandbits(kbits)
+        while t >= c:
+            t = getrandbits(kbits)
+    else:
+        t = 0
+    j = group[t]
+    if j >= i:
+        j = group[t + 1]
+    by_column = getrandbits(1)
+    if by_column:
+        side, other = d.cols, d.rows
+    else:
+        side, other = d.rows, d.cols
+    bi = 1 << i
+    bj = 1 << j
+    xi = side[i]
+    pool = (xi ^ side[j]) & ~(bi | bj)
+    if not pool:
+        return 0
+    a = (pool & xi).bit_count()
+    p = pool.bit_count()
+    s = a if a <= p - a else p - a
+    if not s:
+        return 0
+    if p <= 8:  # a short pool is listed faster bit by bit than by bytes
+        nodes = []
+        rest = pool
+        while rest:
+            low = rest & -rest
+            nodes.append(low.bit_length() - 1)
+            rest ^= low
+    else:
+        nodes = _set_bits(pool, (n + 7) >> 3)
+    chosen = 0
+    for t in range(s):
+        c = p - t
+        kbits = c.bit_length()
+        r = getrandbits(kbits)
+        while r >= c:
+            r = getrandbits(kbits)
+        r += t
+        k = nodes[r]
+        nodes[r] = nodes[t]
+        chosen |= 1 << k
+    if s != a:
+        chosen ^= pool
+    moved = (xi & pool) ^ chosen
+    if not moved:
+        return 0
+    side[i] = xi ^ moved
+    side[j] ^= moved
+    both = bi | bj
+    if outs is None:
+        rest = moved
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            other[low.bit_length() - 1] ^= both
+        return moved.bit_count()
+    # Each node k of ``rest`` is linked to ``now`` after the trade and was
+    # linked to ``was`` before.  In the row trade k moves from was's out list
+    # to now's, and now leaves k's non-in list for was; in the column trade k
+    # moves from now's non-in list to was's, and k's out list trades was for
+    # now.
+    for rest, now, was in ((moved & chosen, i, j), (moved & ~chosen, j, i)):
+        if by_column:
+            lose, gain, far, drop, add = nonins[now], nonins[was], outs, was, now
+        else:
+            lose, gain, far, drop, add = outs[was], outs[now], nonins, now, was
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = low.bit_length() - 1
+            other[k] ^= both
+            del lose[bisect_left(lose, k)]
+            insort(gain, k)
+            lst = far[k]
+            del lst[bisect_left(lst, drop)]
+            insort(lst, add)
+    return moved.bit_count()
+
+
 def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -> StepInfo:
     """Advance the chain by one step, mutating ``d`` in place.
 
-    With probability ``cfg.q`` the step is lazy.  Otherwise walks are grown
-    under shared marks until either the accumulated cross-group violations of
-    all recorded cycles cancel (then every recorded cycle is switched and the
-    move is accepted) or a fair coin ends the attempt (then nothing changes).
-    A cycle-free first walk cancels trivially and is accepted as a no-op.
+    With probability ``cfg.q`` the step is a same-group trade
+    (:func:`_trade`), reported as kind "lazy" with the arcs it moved as its
+    flips.  Otherwise
+    walks are grown under shared marks until either the accumulated
+    cross-group violations of all recorded cycles cancel (then every recorded
+    cycle is switched and the move is accepted) or a fair coin ends the
+    attempt (then nothing changes).  A cycle-free first walk cancels
+    trivially and is accepted as a no-op.
     """
     if rng.random() < cfg.q:
-        return StepInfo("lazy", 0, 0)
+        return StepInfo("lazy", 0, _trade(d, g.members, g.codes, rng))
     n_walks, flips = _attempt(d, g.codes, g.n_groups, rng)
     if flips is None:
         return StepInfo("abandoned", n_walks, 0)
@@ -372,21 +507,25 @@ def markov_draw(
     """Run ``cfg.tau`` chain steps on a copy of ``d`` and return the result.
 
     The input matrix is left untouched, so concurrent draws can share it.
-    Pass a :class:`ChainStats` to accumulate acceptance/flip tallies.  The
-    steps are those of :func:`markov_step`, made on the copy together with its
-    neighbour lists (:func:`_neighbour_lists`), which are built once here.
+    Pass a :class:`ChainStats` to accumulate tallies: ``lazy`` counts the
+    trade steps, and ``flips`` the arc modifications of trades and cycle
+    switches together (see :class:`ChainStats`).  The steps are those of :func:`markov_step`, made on the copy
+    together with its neighbour lists (:func:`_neighbour_lists`), which are
+    built once here.
     """
     out = d.copy()
     tau = cfg.tau
     outs, nonins = _neighbour_lists(out)
-    codes, K = g.codes, g.n_groups
+    codes, K, members = g.codes, g.n_groups, g.members
     q = cfg.q
     random = rng.random
     attempt = _attempt
+    trade = _trade
     lazy = abandoned = flips = 0
     for _ in range(tau):
         if random() < q:
             lazy += 1
+            flips += trade(out, members, codes, rng, outs, nonins)
             continue
         step_flips = attempt(out, codes, K, rng, outs, nonins)[1]
         if step_flips is None:
@@ -412,9 +551,11 @@ def mixing_time_heuristic(
 ) -> int:
     """Walk length that modifies each arc about ``r`` times on average.
 
-    A pilot run estimates the arc-flip rate per step; the returned tau solves
-    tau * flips_per_step = r * arc_count, i.e. tau = ceil(r * L /
-    (flips_per_accepted_step * acceptance_rate)).  ``r = 0`` returns 1
+    A ``pilot_steps``-step :func:`markov_draw` with trade probability ``q``
+    estimates the rate of arc modifications per step, the arcs moved by
+    trades and those flipped by cycle switches together (``ChainStats.flips``);
+    the returned tau solves tau * flips_per_step = r * arc_count,
+    i.e. tau = ceil(r * L * pilot_steps / pilot_flips).  ``r = 0`` returns 1
     without a pilot.  A pilot with zero flips raises
     :class:`FrozenChainError`.
     """

@@ -392,8 +392,8 @@ def reference_draws(
     "enumerated" enumerates the reference set now; ``n_draws``, ``cfg`` and
     ``seed`` are then ignored.  For the chain references, ``cfg`` None
     pilot-tunes the walk length on the substream (seed, pilot-namespace) so
-    that each arc is modified about ``mixing_r`` times per draw, with
-    laziness ``q`` in the pilot and in the draws.
+    that each arc is modified about ``mixing_r`` times per draw, with trade
+    probability ``q`` in the pilot and in the draws.
     """
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
@@ -469,9 +469,9 @@ def conditional_p_value(
     observed network), making the add-one p-value the exact conditional tail
     probability.  When ``cfg`` is None the walk length comes from
     :func:`mixing_time_heuristic` on a pilot run tuned to modify each arc
-    ``mixing_r`` times per draw, and the pilot and the draws use laziness
-    ``q``.  Draw b uses the substream (seed, draw-namespace, b), so results
-    are independent of ``jobs``.
+    ``mixing_r`` times per draw, and the pilot and the draws use trade
+    probability ``q``.  Draw b uses the substream (seed, draw-namespace, b), so
+    results are independent of ``jobs``.
     """
     statistic = stat.resolve(d, g)
     draws = reference_draws(d, g, reference, n_draws, cfg, seed, mixing_r, q)

@@ -16,7 +16,13 @@ from netformtest import harness
 from netformtest._rng import seed_sequence, substream_generator
 from netformtest.graphs import DyadCensus
 from netformtest.model import systematic_utility
-from netformtest.sampler import StepInfo, _cycle_arc_triples, _walk, switch_cycle
+from netformtest.sampler import (
+    ChainStats,
+    StepInfo,
+    _cycle_arc_triples,
+    _walk,
+    switch_cycle,
+)
 from netformtest.testing import Statistic, add_one_p_value, reference_draws
 
 # (name, n, groups, arcs, expected reference-set size)
@@ -423,6 +429,50 @@ def replay_walk_log_prob(d: nt.AdjacencyMatrix, forced) -> float:
     return lp
 
 
+def trade_matrix(members, g):
+    """Exact one-step transition matrix of the same-group trade on a
+    reference set, listed as ``members``.
+
+    Sums, over every (i, j, side) and every subset of the pool that i could
+    hold, the probability 1/n * 1/(i's group-mates) * 1/2 * 1/C(p, a) of that
+    outcome, with p the pool size and a the pool nodes i holds.  A node
+    without group-mates leaves the network as it is, with probability 1/n.
+    """
+    import itertools
+
+    index = {x.key(): t for t, x in enumerate(members)}
+    size = len(members)
+    P = np.zeros((size, size))
+    for x, d in enumerate(members):
+        n = d.n
+        for i in range(n):
+            mates = [k for k in range(n) if k != i and g.codes[k] == g.codes[i]]
+            if not mates:
+                P[x, x] += 1.0 / n
+                continue
+            for j in mates:
+                for by_column in (False, True):
+
+                    def linked(u, k):
+                        return d.has_arc(k, u) if by_column else d.has_arc(u, k)
+
+                    pool = [
+                        k for k in range(n) if k not in (i, j) and linked(i, k) != linked(j, k)
+                    ]
+                    held = sum(linked(i, k) for k in pool)
+                    subsets = list(itertools.combinations(pool, held))
+                    weight = 1.0 / (n * len(mates) * 2 * len(subsets))
+                    for subset in subsets:
+                        y = d.copy()
+                        for k in pool:
+                            u, v = (k, i) if by_column else (i, k)
+                            y.set_arc(u, v, k in subset)
+                            u, v = (k, j) if by_column else (j, k)
+                            y.set_arc(u, v, k not in subset)
+                        P[x, index[y.key()]] += weight
+    return P
+
+
 # -- reference chain: the oracle for the sampler's optimised walk -------------
 
 
@@ -485,14 +535,75 @@ def reference_walk(rows, cols, n, mrows, mcols, rng, counts=None):
         cur = k
 
 
+def tally(stats: ChainStats, info: StepInfo) -> None:
+    """Add one step's outcome to ``stats``, as ``markov_draw`` tallies its
+    steps: a trade step counts as lazy, and its flips count with the rest."""
+    stats.steps += 1
+    stats.flips += info.flips
+    if info.kind == "lazy":
+        stats.lazy += 1
+    elif info.kind == "accepted":
+        stats.accepted += 1
+    else:
+        stats.abandoned += 1
+
+
+def reference_trade(d, g, rng):
+    """The sampler's same-group trade written with ``randrange`` and sets.
+
+    The oracle for ``netformtest.sampler._trade``: it consumes the same random
+    numbers, makes the same change to ``d`` and returns the same number of
+    moved arcs.  Node i is uniform; j is uniform among i's group-mates; one
+    bit picks out-sets (0) or in-sets (1).  Every node other than i and j that
+    is linked to exactly one of them joins the pool.  A partial Fisher-Yates
+    shuffle of the pool picks the smaller of i's and j's shares; i then holds
+    as many pool nodes as before.
+    """
+    n = d.n
+    i = rng.randrange(n)
+    mates = [k for k in range(n) if k != i and g.codes[k] == g.codes[i]]
+    if not mates:
+        return 0
+    j = mates[rng.randrange(len(mates))] if len(mates) > 1 else mates[0]
+    by_column = rng.getrandbits(1)
+
+    def linked(u, k):
+        return d.has_arc(k, u) if by_column else d.has_arc(u, k)
+
+    def set_link(u, k, present):
+        if by_column:
+            d.set_arc(k, u, present)
+        else:
+            d.set_arc(u, k, present)
+
+    pool = [k for k in range(n) if k not in (i, j) and linked(i, k) != linked(j, k)]
+    had = {k for k in pool if linked(i, k)}
+    share = min(len(had), len(pool) - len(had))
+    if share == 0:
+        return 0
+    for t in range(share):
+        r = t + rng.randrange(len(pool) - t)
+        pool[t], pool[r] = pool[r], pool[t]
+    picked = set(pool[:share])
+    gets = picked if share == len(had) else set(pool) - picked
+    moved = 0
+    for k in pool:
+        if (k in gets) != (k in had):
+            set_link(i, k, k in gets)
+            set_link(j, k, k not in gets)
+            moved += 1
+    return moved
+
+
 def reference_step(d, g, cfg, rng):
-    """One chain step built on :func:`reference_walk`; returns a StepInfo.
+    """One chain step built on :func:`reference_walk` and
+    :func:`reference_trade`; returns a StepInfo.
 
     Collects each cycle's arcs as (source, target, present) triples as soon as
     the walk closes it, and switches them with the runtime ``switch_cycle``.
     """
     if rng.random() < cfg.q:
-        return StepInfo("lazy", 0, 0)
+        return StepInfo("lazy", 0, reference_trade(d, g, rng))
     n, codes, K = d.n, g.codes, g.n_groups
     mrows = [0] * n
     mcols = [0] * n

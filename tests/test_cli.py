@@ -205,8 +205,9 @@ def test_sample_with_one_based_ids_shifts_both_ways(tmp_path):
 
 @pytest.mark.parametrize("q", ["0.5", "0.2"])
 def test_test_and_sample_tune_and_draw_the_same_walk(tmp_path, interior12, q):
-    """Without --tau, --q sets the laziness of the pilot and of the draws in
-    both subcommands, so the same inputs and seed give the same draws."""
+    """Without --tau, --q sets the trade probability of the pilot and of the
+    draws in both subcommands, so the same inputs and seed give the same
+    draws."""
     d, g, edges, nodes = interior12
     common = [
         "--edges", str(edges),

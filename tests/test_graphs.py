@@ -303,6 +303,13 @@ def test_group_assignment_relabels_arbitrary_labels():
     assert g.codes == (1, 0, 1, 0)
 
 
+def test_group_assignment_caches_members_and_masks():
+    g = nt.GroupAssignment((2, 0, 2, 1, 0, 2), 3)
+    assert g.members == ((1, 4), (3,), (0, 2, 5))
+    assert g.masks == (0b010010, 0b001000, 0b100101)
+    assert nt.GroupAssignment.single_group(3).members == ((0, 1, 2),)
+
+
 def test_group_assignment_rejects_empty_group():
     with pytest.raises(ValueError):
         nt.GroupAssignment((0, 0, 0), 2)

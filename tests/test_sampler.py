@@ -33,7 +33,7 @@ from netformtest.sampler import (
     switch_cycle,
 )
 from netformtest import sampler
-from netformtest.sampler import _neighbour_lists, _select_bit, _walk
+from netformtest.sampler import _neighbour_lists, _select_bit, _trade, _walk
 
 from _fixtures import (
     CHAIN_FIXTURES,
@@ -45,9 +45,12 @@ from _fixtures import (
     random_digraph,
     random_groups,
     reference_step,
+    reference_trade,
     reference_walk,
     replay_walk_log_prob,
     reversed_walk,
+    tally,
+    trade_matrix,
     violation_of_cycle,
 )
 
@@ -446,7 +449,7 @@ def test_multi_group_chains_abandon_some_attempts():
     cfg = ChainConfig(tau=1, q=0.0)
     stats = ChainStats()
     for _ in range(3000):
-        stats.update(markov_step(d, g, cfg, rng))
+        tally(stats, markov_step(d, g, cfg, rng))
     assert stats.abandoned > 0
     assert stats.accepted > 0
     assert stats.lazy == 0
@@ -459,7 +462,7 @@ def test_laziness_probability_is_respected():
     stats = ChainStats()
     n = 5000
     for _ in range(n):
-        stats.update(markov_step(d, g, cfg, rng))
+        tally(stats, markov_step(d, g, cfg, rng))
     band = 4 * math.sqrt(0.8 * 0.2 / n)
     assert abs(stats.lazy / n - 0.8) < band
 
@@ -482,7 +485,7 @@ def test_chain_stats_accounting():
         StepInfo("accepted", 2, 6),
         StepInfo("abandoned", 3, 0),
     ):
-        stats.update(info)
+        tally(stats, info)
     assert stats.steps == 4
     assert (stats.lazy, stats.accepted, stats.abandoned) == (1, 2, 1)
     assert stats.flips == 10
@@ -493,9 +496,9 @@ def test_chain_stats_accounting():
 def test_chain_config_validation():
     with pytest.raises(ValueError, match="tau"):
         ChainConfig(tau=-1)
-    with pytest.raises(ValueError, match="laziness"):
+    with pytest.raises(ValueError, match="trade probability"):
         ChainConfig(tau=1, q=1.0)
-    with pytest.raises(ValueError, match="laziness"):
+    with pytest.raises(ValueError, match="trade probability"):
         ChainConfig(tau=1, q=-0.01)
     assert ChainConfig(tau=0, q=0.0).tau == 0
 
@@ -649,7 +652,7 @@ def test_markov_draw_matches_reference_steps(K):
         want = d.copy()
         want_stats = ChainStats()
         for _ in range(cfg.tau):
-            want_stats.update(reference_step(want, g, cfg, slow))
+            tally(want_stats, reference_step(want, g, cfg, slow))
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert stats == want_stats
         assert fast.getstate() == slow.getstate()
@@ -693,6 +696,143 @@ def test_single_steps_build_no_neighbour_lists(monkeypatch):
     rng = random.Random(5)
     kinds = {markov_step(d, g, ChainConfig(tau=1, q=0.2), rng).kind for _ in range(200)}
     assert "accepted" in kinds
+
+
+# -- same-group trades --------------------------------------------------------------
+
+
+def groups_with_singletons(n, K, rng):
+    """K groups on n nodes; for K > 1, half the time the last is a singleton."""
+    if K == 1 or rng.random() < 0.5:
+        return random_groups(n, K, rng)
+    rest = random_groups(n - 1, K - 1, rng).codes
+    at = rng.randrange(n)
+    return nt.GroupAssignment(rest[:at] + (K - 1,) + rest[at:], K)
+
+
+@pytest.mark.parametrize("entry", CHAIN_FIXTURES, ids=lambda e: e[0])
+def test_trade_kernel_is_a_symmetric_stochastic_matrix_with_spectrum_in_0_1(entry):
+    d, g, size = build_fixture(entry)
+    members = enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
+    P = trade_matrix(members, g)
+    assert P.shape == (size, size)
+    assert np.allclose(P, P.T, rtol=0.0, atol=1e-12)
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    eigenvalues = np.linalg.eigvalsh(P)
+    assert eigenvalues.min() > -1e-12 and eigenvalues.max() < 1.0 + 1e-12
+    assert (np.diag(P) < 1.0).any()  # some member is left by a trade
+
+
+@pytest.mark.parametrize("index", [1, 5], ids=["single_group", "two_groups"])
+def test_trade_frequencies_match_the_exact_trade_kernel(index):
+    d, g, _ = build_fixture(CHAIN_FIXTURES[index])
+    members = enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
+    position = {x.key(): t for t, x in enumerate(members)}
+    P = trade_matrix(members, g)
+    rng = random.Random(61)
+    n_trades = 3000
+    chi2 = df = 0.0
+    for x, start in enumerate(members):
+        counts = np.zeros(len(members))
+        for _ in range(n_trades):
+            y = start.copy()
+            _trade(y, g.members, g.codes, rng)
+            counts[position[y.key()]] += 1
+        reachable = P[x] > 0
+        assert counts[~reachable].sum() == 0
+        expected = n_trades * P[x, reachable]
+        chi2 += ((counts[reachable] - expected) ** 2 / expected).sum()
+        df += reachable.sum() - 1
+    assert df > 0
+    assert sps.chi2.sf(chi2, df) > 0.001
+
+
+def test_trades_preserve_degrees_cross_links_and_the_zero_diagonal():
+    rng = random.Random(67)
+    moving = still = 0
+    for n in (4, 5, 9, 24, 63, 64, 65, 130):
+        for K in (1, 2, 3):
+            for _ in range(4 if n < 60 else 2):
+                d = mixed_digraph(n, rng)
+                g = groups_with_singletons(n, K, rng)
+                deg = degree_sequence(d)
+                m = cross_link_matrix(d, g)
+                for _ in range(150):
+                    before = d.rows.copy()
+                    moved = _trade(d, g.members, g.codes, rng)
+                    # Each moved arc clears one entry and sets another.
+                    changed = sum((x ^ y).bit_count() for x, y in zip(before, d.rows))
+                    assert changed == 2 * moved
+                    moving += moved > 0
+                    still += moved == 0
+                    assert degree_sequence(d) == deg
+                    assert cross_link_matrix(d, g) == m
+                    assert not any(d.rows[i] >> i & 1 for i in range(n))
+                    assert nt.AdjacencyMatrix(n, d.rows).cols == d.cols
+    assert moving > 0 and still > 0
+
+
+def test_trades_with_only_singleton_groups_change_nothing():
+    rng = random.Random(71)
+    n = 6
+    d = mixed_digraph(n, rng)
+    g = nt.GroupAssignment(tuple(range(n)), n)
+    before = d.key()
+    for _ in range(200):
+        assert _trade(d, g.members, g.codes, rng) == 0
+    assert d.key() == before
+
+
+def test_trade_matches_reference_trade():
+    rng = random.Random(73)
+    moved = 0
+    for n in (2, 3, 4, 5, 9, 24, 63, 64, 65, 130):
+        for K in (1, 2, 3):
+            if K > n:
+                continue
+            for _ in range(6 if n < 60 else 2):
+                d = mixed_digraph(n, rng)
+                g = groups_with_singletons(n, K, rng)
+                seed = rng.getrandbits(64)
+                fast, slow = random.Random(seed), random.Random(seed)
+                with_lists, want = d.copy(), d.copy()
+                outs, nonins = _neighbour_lists(with_lists)
+                for _ in range(60):
+                    expected = reference_trade(want, g, slow)
+                    got = _trade(with_lists, g.members, g.codes, fast, outs, nonins)
+                    assert got == expected
+                    assert (with_lists.rows, with_lists.cols) == (want.rows, want.cols)
+                    assert fast.getstate() == slow.getstate()
+                    assert (outs, nonins) == _neighbour_lists(want)
+                    moved += expected
+                # Without neighbour lists the trade makes the same change.
+                fast, slow = random.Random(seed), random.Random(seed)
+                bare, want = d.copy(), d.copy()
+                for _ in range(60):
+                    expected = reference_trade(want, g, slow)
+                    assert _trade(bare, g.members, g.codes, fast) == expected
+                assert bare.rows == want.rows
+    assert moved > 0
+
+
+@pytest.mark.parametrize("n", [37, 130])
+def test_draw_keeps_neighbour_lists_in_step_through_trades(monkeypatch, n):
+    kept = []
+
+    def keep(d):
+        lists = _neighbour_lists(d)
+        kept.append(lists)
+        return lists
+
+    monkeypatch.setattr(sampler, "_neighbour_lists", keep)
+    rng = random.Random(79 + n)
+    d = random_digraph(n, 0.3, rng)
+    g = random_groups(n, 2, rng)
+    stats = ChainStats()
+    out = markov_draw(d, g, ChainConfig(tau=600, q=0.9), rng, stats)
+    assert stats.lazy > 450 and stats.flips > 0
+    assert len(kept) == 1
+    assert kept[0] == keep(out)
 
 
 # -- reachability and uniformity ------------------------------------------------
