@@ -25,7 +25,6 @@ from .harness import ExperimentConfig, run_experiment, study_population
 from .model import (
     NuisanceParams,
     SeparationError,
-    is_equilibrium,
     mle_null,
     null_log_likelihood,
     simulate_alternative,
@@ -44,9 +43,7 @@ from .testing import (
     TestStatisticSpec,
     conditional_p_value,
     exact_conditional_critical_values,
-    exact_reciprocity_likelihood,
     locally_best_statistic,
-    theorem2_derivative,
 )
 
 __all__ = [
@@ -62,7 +59,6 @@ __all__ = [
     "null_log_likelihood",
     "simulate_null",
     "simulate_alternative",
-    "is_equilibrium",
     "strategic_spec",
     "ChainConfig",
     "FrozenChainError",
@@ -74,8 +70,6 @@ __all__ = [
     "conditional_p_value",
     "exact_conditional_critical_values",
     "locally_best_statistic",
-    "theorem2_derivative",
-    "exact_reciprocity_likelihood",
     "ExperimentConfig",
     "run_experiment",
     "study_population",

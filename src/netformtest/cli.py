@@ -24,6 +24,7 @@ import os
 import secrets
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -374,14 +375,13 @@ def _cmd_mc_experiment(args, ctx: _RunContext) -> dict:
     if args.reference is not None:
         overrides["reference"] = _REFERENCE_OF[args.reference]
     if args.gammas is not None:
-        overrides["gammas"] = tuple(float(x) for x in args.gammas.split(","))
+        overrides["gammas"] = [float(x) for x in args.gammas.split(",")]
     if args.statistics is not None:
-        overrides["statistics"] = tuple(args.statistics.split(","))
-    if "gammas" in overrides:
-        overrides["gammas"] = tuple(overrides["gammas"])
-    if "statistics" in overrides:
-        overrides["statistics"] = tuple(overrides["statistics"])
+        overrides["statistics"] = args.statistics.split(",")
     try:
+        for key in ("gammas", "statistics"):
+            if key in overrides:
+                overrides[key] = tuple(overrides[key])
         cfg = ExperimentConfig(**overrides)
     except TypeError as exc:
         raise DataError(f"bad experiment configuration: {exc}") from exc
@@ -605,22 +605,14 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ctx = _RunContext(outdir=outdir, seed=seed, jobs=max(1, args.jobs))
-    import warnings as _warnings
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             config = args.handler(args, ctx)
-        except DataError as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return 3
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return 3
         except (SeparationError, FrozenChainError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 4
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:  # DataError, JSONDecodeError too
             print(f"data error: {exc}", file=sys.stderr)
             return 3
     manifest = {

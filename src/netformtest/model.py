@@ -27,7 +27,6 @@ __all__ = [
     "SeparationError",
     "StrategicSpec",
     "draw_logistic_shocks",
-    "is_equilibrium",
     "logistic_cdf",
     "mle_null",
     "null_log_likelihood",
@@ -232,30 +231,28 @@ def _null_gradient(a: np.ndarray, P: np.ndarray, Z: np.ndarray):
     return ga, gb, glam
 
 
-def _free_map(n: int, K: int) -> np.ndarray:
-    """Linear map L from free parameters to the full (a, b, lam) layout.
+def _free_information(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Information matrix of :func:`mle_null`'s free coordinates.
 
-    Free coordinates: all n sender effects, the first n-1 receiver effects
-    (the last is minus their sum), and the (K-1) x (K-1) lower-right block of
-    the mixing matrix (first row and column pinned at zero).  L has full
-    column rank and its column span meets the likelihood's invariance
-    directions only at zero, so the free optimum is the unique normalized
-    representative of the MLE.
+    ``W`` is P(1-P) with a zeroed diagonal and ``Z`` the n x K one-hot group
+    matrix.  The free coordinates are the n sender effects, the first n-1
+    receiver effects (the last is pinned at zero) and the (K-1) x (K-1)
+    lower-right block of the mixing matrix (first row and column pinned at
+    zero), so every block is a slice of the full information.
     """
-    full_dim = 2 * n + K * K
-    free_dim = n + (n - 1) + (K - 1) * (K - 1)
-    L = np.zeros((full_dim, free_dim))
-    for i in range(n):
-        L[i, i] = 1.0
-    for j in range(n - 1):
-        L[n + j, n + j] = 1.0
-        L[n + (n - 1), n + j] = -1.0
-    col = 2 * n - 1
-    for k in range(1, K):
-        for l in range(1, K):
-            L[2 * n + k * K + l, col] = 1.0
-            col += 1
-    return L
+    n = W.shape[0]
+    Z1 = Z[:, 1:]
+    WZ1 = W @ Z1
+    WtZ1 = W.T @ Z1
+    sender_mix = (Z1[:, :, None] * WZ1[:, None, :]).reshape(n, -1)
+    receiver_mix = (WtZ1[:-1, :, None] * Z1[:-1, None, :]).reshape(n - 1, -1)
+    return np.block(
+        [
+            [np.diag(W.sum(axis=1)), W[:, :-1], sender_mix],
+            [W[:, :-1].T, np.diag(W.sum(axis=0)[:-1]), receiver_mix],
+            [sender_mix.T, receiver_mix.T, np.diag((Z1.T @ WZ1).ravel())],
+        ]
+    )
 
 
 def _degenerate_margins(d: AdjacencyMatrix, g: GroupAssignment) -> list[str]:
@@ -298,10 +295,18 @@ def _degenerate_margins(d: AdjacencyMatrix, g: GroupAssignment) -> list[str]:
 def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
     """Maximum-likelihood nuisance parameters under the null.
 
-    Damped Newton ascent in the normalized free parameterization (see
-    :func:`_free_map`), with analytic gradient and Hessian.  At the optimum
-    the fitted model reproduces the observed out-degrees, in-degrees, and
-    cross-group arc counts exactly — those are the gradient components.
+    Damped Newton ascent, with analytic gradient and information matrix
+    (:func:`_free_information`), in free coordinates that pin the last
+    receiver effect and the first row and column of the mixing matrix at
+    zero.  Each iterate is reported in the normalization of
+    :class:`NuisanceParams` (the receiver mean moves into the senders), and
+    the ascent stops once the gradient in that normalization is below
+    ``MLE_TOL``.  Newton steps do not depend on the linear coordinates they
+    are taken in.  At the optimum the fitted model reproduces the observed
+    out-degrees, in-degrees, and cross-group arc counts exactly — those are
+    the gradient components.  A one-member group has no pair in its diagonal
+    cell, which leaves one direction of the free coordinates unidentified;
+    the steps are then minimum-norm, so rounding does not choose the fit.
 
     Raises :class:`SeparationError` when a parameter runs away (perfect
     separation, e.g. a node with empty or full degree) or the ascent fails
@@ -321,16 +326,15 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
     margins = "no degenerate margins found"
     a = d.to_array().astype(float)
     Z = _group_indicator(g)
-    L = _free_map(n, K)
     offdiag = ~np.eye(n, dtype=bool)
+    unidentified = bool((Z.sum(axis=0) == 1).any())
 
     def unpack(x: np.ndarray) -> NuisanceParams:
-        sender = x[:n]
-        receiver = np.append(x[n : 2 * n - 1], -x[n : 2 * n - 1].sum())
+        receiver = np.append(x[n : 2 * n - 1], 0.0)
+        shift = receiver.mean()
         mixing = np.zeros((K, K))
-        if K > 1:
-            mixing[1:, 1:] = x[2 * n - 1 :].reshape(K - 1, K - 1)
-        return NuisanceParams(sender, receiver, mixing)
+        mixing[1:, 1:] = x[2 * n - 1 :].reshape(K - 1, K - 1)
+        return NuisanceParams(x[:n] + shift, receiver - shift, mixing)
 
     def loglik_and_parts(x: np.ndarray):
         delta = unpack(x)
@@ -345,9 +349,8 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
     delta, P, ll = loglik_and_parts(x)
     for _ in range(MLE_MAX_ITER):
         ga, gb, glam = _null_gradient(a, P, Z)
-        g_full = np.concatenate([ga, gb, glam.ravel()])
-        g_free = L.T @ g_full
-        if np.abs(g_free).max() < MLE_TOL:
+        stop = np.concatenate([ga, gb[:-1] - gb[-1], glam[1:, 1:].ravel()])
+        if np.abs(stop).max() < MLE_TOL:
             mu = systematic_utility(delta, g)
             if np.nanmax(np.abs(mu)) > 30.0:
                 raise SeparationError(
@@ -355,27 +358,14 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
                     "likely perfect separation: " + margins
                 )
             return delta
-        W = P * (1.0 - P)
-        WZ = W @ Z
-        ZTW = Z.T @ W
-        full_dim = 2 * n + K * K
-        info = np.zeros((full_dim, full_dim))
-        info[:n, :n] = np.diag(W.sum(axis=1))
-        info[n : 2 * n, n : 2 * n] = np.diag(W.sum(axis=0))
-        info[:n, n : 2 * n] = W
-        info[n : 2 * n, :n] = W.T
-        ialam = np.einsum("ik,il->ikl", Z, WZ).reshape(n, K * K)
-        iblam = np.einsum("kj,jl->jkl", ZTW, Z).reshape(n, K * K)
-        info[:n, 2 * n :] = ialam
-        info[2 * n :, :n] = ialam.T
-        info[n : 2 * n, 2 * n :] = iblam
-        info[2 * n :, n : 2 * n] = iblam.T
-        info[2 * n :, 2 * n :] = np.diag((Z.T @ W @ Z).ravel())
-        info_free = L.T @ info @ L
+        grad = np.concatenate([ga, gb[:-1], glam[1:, 1:].ravel()])
+        info = _free_information(P * (1.0 - P), Z)
         try:
-            step = np.linalg.solve(info_free, g_free)
+            if unidentified:
+                raise np.linalg.LinAlgError
+            step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info_free, g_free, rcond=None)[0]
+            step = np.linalg.lstsq(info, grad, rcond=None)[0]
         scale = 1.0
         for _ in range(40):
             x_new = x + scale * step
@@ -472,20 +462,3 @@ def simulate_alternative(
             )
         seen.add(key)
     raise AssertionError("best-response iteration failed to terminate")
-
-
-def is_equilibrium(
-    d: AdjacencyMatrix,
-    delta: NuisanceParams,
-    gamma: float,
-    spec: StrategicSpec,
-    g: GroupAssignment,
-    shocks: np.ndarray,
-) -> bool:
-    """Check the per-arc best-response identity d_ij = 1{mu_ij + gamma s_ij >= u_ij}."""
-    mu = systematic_utility(delta, g)
-    dense = d.to_array()
-    s = spec.matrix_fn(dense)
-    best = (mu + gamma * s >= shocks).astype(np.uint8)
-    off = ~np.eye(d.n, dtype=bool)
-    return bool((best[off] == dense[off]).all())

@@ -9,11 +9,7 @@ otherwise — with the add-one Monte Carlo p-value
 p = (1 + #{draws >= observed}) / (#draws + 1).
 
 The locally best statistic against interaction strength gamma > 0 is
-sum over i != j of (d_ij - F(mu_ij)) * s_ij(d).  ``theorem2_derivative``
-computes the same quantity along the longer route — the derivative of the
-equilibrium likelihood at gamma = 0, split into the boundary-bucket and
-single-interior-bucket shock configurations with explicit range bounds — and
-exists so the two derivations can be checked against each other numerically.
+sum over i != j of (d_ij - F(mu_ij)) * s_ij(d).
 """
 
 from __future__ import annotations
@@ -38,10 +34,8 @@ from .model import (
     NuisanceParams,
     StrategicSpec,
     _link_probabilities,
-    logistic_cdf,
     mle_null,
     strategic_spec,
-    systematic_utility,
 )
 from .sampler import (
     ChainConfig,
@@ -57,9 +51,7 @@ __all__ = [
     "TestStatisticSpec",
     "conditional_p_value",
     "exact_conditional_critical_values",
-    "exact_reciprocity_likelihood",
     "locally_best_statistic",
-    "theorem2_derivative",
 ]
 
 REFERENCES = ("density_only", "degree_only", "degree_and_crosslink", "enumerated")
@@ -91,90 +83,6 @@ def _score(d: AdjacencyMatrix, P: np.ndarray, matrix_fn) -> float:
     dense = d.to_array()
     S = matrix_fn(dense)
     return float(((dense - P) * S)[off].sum())
-
-
-def theorem2_derivative(
-    d: AdjacencyMatrix,
-    delta: NuisanceParams,
-    spec: StrategicSpec,
-    g: GroupAssignment,
-) -> float:
-    """Likelihood derivative in gamma at zero, by the two-case decomposition.
-
-    Write F = F(mu_ij), f = F(1-F) for the logistic CDF/density and let
-    [s_lo, s_hi] bound the interaction term's range.  Shock configurations
-    with two or more interior buckets contribute at order gamma^2 and drop
-    out.  The all-boundary configurations contribute
-
-        sum_{i != j}  d_ij s_lo f/F  -  (1 - d_ij) s_hi f/(1-F)
-
-    and the single-interior-bucket configurations contribute
-
-        sum_{i != j}  d_ij (s_ij - s_lo) f/F  +  (1 - d_ij) (s_hi - s_ij) f/(1-F).
-
-    The range bounds cancel only in the total, which equals the one-line
-    form of :func:`locally_best_statistic`; keeping both routes separate is
-    deliberate so they can be cross-checked.
-    """
-    off = ~np.eye(d.n, dtype=bool)
-    F = _link_probabilities(delta, g)
-    f = F * (1.0 - F)
-    dense = d.to_array().astype(float)
-    S = spec.matrix_fn(dense).astype(float)
-    s_lo = float(spec.s_min)
-    s_hi = float(spec.s_max)
-    ratio_present = f / F
-    ratio_absent = f / (1.0 - F)
-    boundary = dense * s_lo * ratio_present - (1.0 - dense) * s_hi * ratio_absent
-    one_interior = dense * (S - s_lo) * ratio_present + (1.0 - dense) * (
-        s_hi - S
-    ) * ratio_absent
-    return float(boundary[off].sum() + one_interior[off].sum())
-
-
-def exact_reciprocity_likelihood(
-    d: AdjacencyMatrix,
-    g: GroupAssignment,
-    delta: NuisanceParams,
-    gamma: float,
-) -> float:
-    """Exact network probability under reciprocity interaction, gamma >= 0.
-
-    With s_ij = d_ji the network factorizes over unordered dyads.  Each
-    shock u_ij falls into one of three buckets: below mu_ij (i links
-    regardless), in (mu_ij, mu_ij + gamma] (i links iff j does), or above
-    (never links).  When both shocks of a dyad land in the middle bucket the
-    empty and the mutual dyad are both equilibria; the selection rule,
-    uniform over equilibria, picks each with probability 1/2.
-
-    gamma < 0 flips the middle bucket into an anti-coordination region and is
-    not supported here.
-    """
-    if gamma < 0:
-        raise ValueError(
-            "gamma < 0 makes reciprocity anti-coordinating; "
-            "this likelihood only covers gamma >= 0"
-        )
-    mu = systematic_utility(delta, g)
-    F0 = _link_probabilities(delta, g)
-    Fg = logistic_cdf(np.where(np.isnan(mu), 0.0, mu + gamma))
-    prob = 1.0
-    n = d.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            p1, pm, p0 = F0[i, j], Fg[i, j] - F0[i, j], 1.0 - Fg[i, j]
-            q1, qm, q0 = F0[j, i], Fg[j, i] - F0[j, i], 1.0 - Fg[j, i]
-            dij = d.has_arc(i, j)
-            dji = d.has_arc(j, i)
-            if dij and dji:
-                prob *= p1 * q1 + p1 * qm + pm * q1 + 0.5 * pm * qm
-            elif dij:
-                prob *= p1 * q0
-            elif dji:
-                prob *= p0 * q1
-            else:
-                prob *= pm * q0 + p0 * qm + p0 * q0 + 0.5 * pm * qm
-    return float(prob)
 
 
 # -- test statistics -----------------------------------------------------------

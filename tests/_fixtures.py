@@ -15,7 +15,7 @@ import netformtest as nt
 from netformtest import harness
 from netformtest._rng import seed_sequence, substream_generator
 from netformtest.graphs import DyadCensus
-from netformtest.model import systematic_utility
+from netformtest.model import _link_probabilities, logistic_cdf, systematic_utility
 from netformtest.sampler import (
     ChainStats,
     StepInfo,
@@ -76,6 +76,90 @@ PAIR_TERMS = {
 def pair_term(kind, d, i, j):
     """Per-pair oracle for ``strategic_spec(kind, n).matrix_fn``: s_ij(d)."""
     return PAIR_TERMS[kind](d, i, j)
+
+
+def theorem2_derivative(d, delta, spec, g):
+    """Oracle for ``locally_best_statistic``: the equilibrium likelihood's
+    derivative in gamma at zero, by the two-case decomposition.
+
+    Write F = F(mu_ij), f = F(1-F) for the logistic CDF/density and let
+    [s_lo, s_hi] bound the interaction term's range.  Shock configurations
+    with two or more interior buckets contribute at order gamma^2 and drop
+    out.  The all-boundary configurations contribute
+
+        sum_{i != j}  d_ij s_lo f/F  -  (1 - d_ij) s_hi f/(1-F)
+
+    and the single-interior-bucket configurations contribute
+
+        sum_{i != j}  d_ij (s_ij - s_lo) f/F  +  (1 - d_ij) (s_hi - s_ij) f/(1-F).
+
+    The range bounds cancel only in the total, which equals the one-line
+    form of ``locally_best_statistic``.
+    """
+    off = ~np.eye(d.n, dtype=bool)
+    F = _link_probabilities(delta, g)
+    f = F * (1.0 - F)
+    dense = d.to_array().astype(float)
+    S = spec.matrix_fn(dense).astype(float)
+    s_lo = float(spec.s_min)
+    s_hi = float(spec.s_max)
+    ratio_present = f / F
+    ratio_absent = f / (1.0 - F)
+    boundary = dense * s_lo * ratio_present - (1.0 - dense) * s_hi * ratio_absent
+    one_interior = dense * (S - s_lo) * ratio_present + (1.0 - dense) * (
+        s_hi - S
+    ) * ratio_absent
+    return float(boundary[off].sum() + one_interior[off].sum())
+
+
+def exact_reciprocity_likelihood(d, g, delta, gamma):
+    """Exact network probability under reciprocity interaction, gamma >= 0.
+
+    With s_ij = d_ji the network factorizes over unordered dyads.  Each
+    shock u_ij falls into one of three buckets: below mu_ij (i links
+    regardless), in (mu_ij, mu_ij + gamma] (i links iff j does), or above
+    (never links).  When both shocks of a dyad land in the middle bucket the
+    empty and the mutual dyad are both equilibria; the selection rule,
+    uniform over equilibria, picks each with probability 1/2.
+
+    gamma < 0 flips the middle bucket into an anti-coordination region and is
+    not supported here.
+    """
+    if gamma < 0:
+        raise ValueError(
+            "gamma < 0 makes reciprocity anti-coordinating; "
+            "this likelihood only covers gamma >= 0"
+        )
+    mu = systematic_utility(delta, g)
+    F0 = _link_probabilities(delta, g)
+    Fg = logistic_cdf(np.where(np.isnan(mu), 0.0, mu + gamma))
+    prob = 1.0
+    n = d.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            p1, pm, p0 = F0[i, j], Fg[i, j] - F0[i, j], 1.0 - Fg[i, j]
+            q1, qm, q0 = F0[j, i], Fg[j, i] - F0[j, i], 1.0 - Fg[j, i]
+            dij = d.has_arc(i, j)
+            dji = d.has_arc(j, i)
+            if dij and dji:
+                prob *= p1 * q1 + p1 * qm + pm * q1 + 0.5 * pm * qm
+            elif dij:
+                prob *= p1 * q0
+            elif dji:
+                prob *= p0 * q1
+            else:
+                prob *= pm * q0 + p0 * qm + p0 * q0 + 0.5 * pm * qm
+    return float(prob)
+
+
+def is_equilibrium(d, delta, gamma, spec, g, shocks):
+    """Check the per-arc best-response identity d_ij = 1{mu_ij + gamma s_ij >= u_ij}."""
+    mu = systematic_utility(delta, g)
+    dense = d.to_array()
+    s = spec.matrix_fn(dense)
+    best = (mu + gamma * s >= shocks).astype(np.uint8)
+    off = ~np.eye(d.n, dtype=bool)
+    return bool((best[off] == dense[off]).all())
 
 
 def dyad_likelihood_oracle(d, g, delta, gamma):

