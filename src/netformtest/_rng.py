@@ -3,8 +3,8 @@
 Every randomized unit of work (reference draw b, replication r, ...) gets its
 own stream keyed by (root seed, index path), so results do not depend on
 execution order or parallelism.  Chain code uses stdlib ``random.Random``
-(fast scalar choices); vectorized simulation uses numpy Generators.  Both are
-derived from the same SeedSequence tree.
+(fast scalar choices); vectorized simulation and the density-only reference
+draws use numpy Generators.  Both are derived from the same SeedSequence tree.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Subcommands: sample, fit, simulate, test, mc-experiment, enumerate,
 calibrate.  Every run writes its artifacts plus exactly one manifest.json
-(provenance: resolved configuration, seed, input digests, wall clock,
-warnings) into --out.  Given identical inputs and --seed, result artifacts
-are byte-identical across reruns and --jobs settings; the manifest differs
-only in its timing fields.
+(provenance: resolved configuration, seed, package and numpy versions, input
+digests, wall clock, warnings) into --out.  Given identical inputs, --seed and
+numpy version, result artifacts are byte-identical across reruns and --jobs
+settings; the manifest differs only in its timing fields.
 
 Exit codes: 0 success, 2 usage errors, 3 data errors (malformed/inconsistent
 input files), 4 numerical failures (MLE separation, frozen sampler).
@@ -383,7 +383,7 @@ def _cmd_mc_experiment(args, ctx: _RunContext) -> dict:
             if key in overrides:
                 overrides[key] = tuple(overrides[key])
         cfg = ExperimentConfig(**overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad experiment configuration: {exc}") from exc
     table = run_experiment(cfg, ctx.seed, jobs=ctx.jobs)
     _write_csv(
@@ -620,6 +620,7 @@ def main(argv=None) -> int:
         "config": config,
         "seed": seed,
         "version": __version__,
+        "numpy_version": np.__version__,
         "input_digests": ctx.digests,
         "started_at": started,
         "wall_clock_sec": time.perf_counter() - t0,

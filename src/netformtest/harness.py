@@ -22,6 +22,7 @@ from the rejection rates, with counts reported.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -143,6 +144,17 @@ class ExperimentConfig:
     q: float = 0.5
 
     def __post_init__(self):
+        for key, kind, name in (
+            ("n_nodes", numbers.Integral, "an integer"),
+            ("n_reps", numbers.Integral, "an integer"),
+            ("n_draws", numbers.Integral, "an integer"),
+            ("alpha", numbers.Real, "a real number"),
+            ("mixing_r", numbers.Real, "a real number"),
+            ("q", numbers.Real, "a real number"),
+        ):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{key} must be {name}, got {value!r}")
         if self.n_nodes < 3:
             raise ValueError("experiments need at least 3 nodes")
         if self.n_reps < 1 or self.n_draws < 1:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import substream_random
+from ._rng import substream_generator, substream_random
 from .graphs import (
     AdjacencyMatrix,
     GroupAssignment,
@@ -205,11 +205,12 @@ def decided_at(alpha: float, observed, n_draws: int):
 # -- reference draws -----------------------------------------------------------
 
 
-def _density_only_draw(n: int, n_arcs: int, rng) -> AdjacencyMatrix:
-    """A uniform digraph with ``n_arcs`` arcs: ``rng`` picks that many distinct
-    off-diagonal positions, numbered row by row."""
-    positions = rng.sample(range(n * (n - 1)), n_arcs)
-    i, rem = np.divmod(np.array(positions, dtype=np.intp), n - 1)
+def _density_only_draw(n: int, n_arcs: int, gen: np.random.Generator) -> AdjacencyMatrix:
+    """A uniform digraph with ``n_arcs`` arcs: the numpy Generator ``gen``
+    picks that many distinct off-diagonal positions, numbered row by row, as
+    an exactly uniform subset (integer draws, no ranking of float keys)."""
+    positions = gen.choice(n * (n - 1), n_arcs, replace=False, shuffle=False)
+    i, rem = np.divmod(positions, n - 1)
     dense = np.zeros((n, n), dtype=np.uint8)
     dense[i, rem + (rem >= i)] = 1
     return AdjacencyMatrix.from_dense(dense)
@@ -221,11 +222,12 @@ class ReferenceDraws:
 
     Draw b of a sampled reference uses its own substream (seed,
     draw-namespace, b), so any share of the draws can be made in any process
-    with the same result.  ``cfg`` is the chain's walk for "degree_only" and
-    "degree_and_crosslink", with ``g`` the grouping the chain preserves, and
-    None for "density_only".  For "enumerated" the draws are ``members``: the
-    whole reference set minus the observed network.  Build it with
-    :func:`reference_draws`.
+    with the same result: a numpy Generator for "density_only", a
+    ``random.Random`` for the chain.  ``cfg`` is the chain's walk for
+    "degree_only" and "degree_and_crosslink", with ``g`` the grouping the
+    chain preserves, and None for "density_only".  For "enumerated" the
+    draws are ``members``: the whole reference set minus the observed
+    network.  Build it with :func:`reference_draws`.
     """
 
     observed: AdjacencyMatrix
@@ -240,9 +242,10 @@ class ReferenceDraws:
         """Draw b; a chain draw adds its step tallies to ``stats``."""
         if self.reference == "enumerated":
             return self.members[b]
-        rng = substream_random(self.seed, _NS_DRAW, b)
         if self.cfg is None:
-            return _density_only_draw(self.observed.n, self.observed.arc_count(), rng)
+            gen = substream_generator(self.seed, _NS_DRAW, b)
+            return _density_only_draw(self.observed.n, self.observed.arc_count(), gen)
+        rng = substream_random(self.seed, _NS_DRAW, b)
         return markov_draw(self.observed, self.g, self.cfg, rng, stats)
 
     def values(self, statistics, jobs: int = 1, stop=None) -> tuple[np.ndarray, ChainStats]:

@@ -285,12 +285,12 @@ def dense_oracle(array):
     return d
 
 
-def density_draw_oracle(n, n_arcs, rng):
-    """The density-reference draw placed arc by arc: the same ``rng.sample``
+def density_draw_oracle(n, n_arcs, gen):
+    """The density-reference draw placed arc by arc: the same ``gen.choice``
     of row-major off-diagonal positions, each mapped to its arc."""
-    positions = rng.sample(range(n * (n - 1)), n_arcs)
+    positions = gen.choice(n * (n - 1), n_arcs, replace=False, shuffle=False)
     d = nt.AdjacencyMatrix(n)
-    for pos in positions:
+    for pos in positions.tolist():
         i, rem = divmod(pos, n - 1)
         j = rem if rem < i else rem + 1
         d.add_arc(i, j)

@@ -330,6 +330,34 @@ def test_fit_simulate_test_pipeline(tmp_path, interior12):
     assert m1 == m2
 
 
+def test_density_reference_is_byte_identical_across_reruns_and_jobs(tmp_path, interior12):
+    d, g, edges, nodes = interior12
+    argv = [
+        "test",
+        "--edges", str(edges),
+        "--nodes", str(nodes),
+        "--statistic", "ti",
+        "--reference", "density",
+        "--draws", "50",
+        "--seed", "13",
+    ]
+    runs = {"a": ["--jobs", "1"], "b": ["--jobs", "1"], "c": ["--jobs", "2"]}
+    for out, extra in runs.items():
+        assert main(argv + ["--out", str(tmp_path / out)] + extra) == 0
+    result = json.loads((tmp_path / "a" / "result.json").read_text())
+    assert result["reference"] == "density_only"
+    assert result["draws"] == 50
+    manifests = {}
+    for out in runs:
+        for name in ("result.json", "null_draws.csv"):
+            assert (tmp_path / out / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        manifests[out] = read_manifest(tmp_path / out)
+        manifests[out].pop("started_at")
+        manifests[out].pop("wall_clock_sec")
+    assert manifests["a"] == manifests["b"] == manifests["c"]
+    assert manifests["a"]["numpy_version"] == np.__version__
+
+
 def test_enumerated_reference_gives_the_exact_tail(tmp_path):
     name, n, groups, arcs, size = N4_CYCLE
     write_edges(tmp_path / "edges.csv", arcs)
@@ -469,7 +497,13 @@ def test_empty_edge_list_without_node_count_exits_3(tmp_path, capsys):
 
 def test_bad_experiment_settings_exit_3(tmp_path, capsys):
     cfg_file = tmp_path / "experiment.json"
-    for bad in ({"n_nodes": 16, "walk_length": 9}, {"gammas": 0.5}, {"statistics": 5}):
+    for bad in (
+        {"n_nodes": 16, "walk_length": 9},
+        {"gammas": 0.5},
+        {"statistics": 5},
+        {"n_reps": 1.5},
+        {"n_nodes": 12.5},
+    ):
         cfg_file.write_text(json.dumps(bad))
         code = main(
             ["mc-experiment", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--seed", "1"]

@@ -125,6 +125,9 @@ def test_default_config_matches_the_desk_scale_protocol():
         (dict(alpha=1.0), "alpha"),
         (dict(gammas=(0.1, -0.2)), "non-negative"),
         (dict(statistics=("transitivity_index", "betweenness")), "unknown"),
+        (dict(n_reps=1.5), "n_reps must be an integer"),
+        (dict(n_nodes=True), "n_nodes must be an integer"),
+        (dict(q="0.5"), "q must be a real number"),
     ],
 )
 def test_config_rejects_invalid_settings(kwargs, msg):
