@@ -39,8 +39,15 @@ from .model import (
     simulate_null,
     strategic_spec,
 )
-from .sampler import FrozenChainError
-from .testing import Statistic, add_one_p_value, decided_at, reference_draws
+from .sampler import ChainConfig, FrozenChainError, check_enumerable
+from .testing import (
+    INDEX_STATISTICS,
+    REFERENCES,
+    add_one_p_value,
+    decided_at,
+    reference_draws,
+    score_statistic,
+)
 
 __all__ = [
     "CalibrationRow",
@@ -125,7 +132,7 @@ class ExperimentConfig:
     use 10).  ``statistics`` may contain "locally_best_fitted"
     (nuisance parameters re-estimated per replication),
     "locally_best_true" (the infeasible variant using the generating
-    parameters), "transitivity_index", and "reciprocity_index".
+    parameters), and the index statistics of ``testing.INDEX_STATISTICS``.
     """
 
     n_nodes: int = 24
@@ -161,17 +168,27 @@ class ExperimentConfig:
             raise ValueError("n_reps and n_draws must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
+        if not self.gammas or not self.statistics:
+            raise ValueError("gammas and statistics must not be empty")
         if any(gamma < 0 for gamma in self.gammas):
             raise ValueError("gammas must be non-negative")
-        known = {
+        unknown = set(self.statistics) - {
             "locally_best_fitted",
             "locally_best_true",
-            "transitivity_index",
-            "reciprocity_index",
+            *INDEX_STATISTICS,
         }
-        unknown = set(self.statistics) - known
         if unknown:
             raise ValueError(f"unknown statistics: {sorted(unknown)}")
+        strategic_spec(self.strategic, self.n_nodes)  # refuses an unknown name
+        if self.reference not in REFERENCES:
+            raise ValueError(
+                f"unknown reference {self.reference!r}; choose from {REFERENCES}"
+            )
+        if self.reference == "enumerated":
+            check_enumerable(self.n_nodes)
+        if self.mixing_r < 0:
+            raise ValueError("mixing_r must be non-negative")
+        ChainConfig(0, self.q)  # refuses q outside [0, 1)
 
 
 @dataclass(frozen=True)
@@ -218,12 +235,11 @@ def _replication(cfg: ExperimentConfig, seed: int, gamma_index: int, rep: int):
     try:
         for name in cfg.statistics:
             if name == "locally_best_fitted":
-                delta_hat = mle_null(observed, g)
-                statistics.append(Statistic.score(cfg.strategic, delta_hat, g))
+                statistics.append(score_statistic(spec, mle_null(observed, g), g))
             elif name == "locally_best_true":
-                statistics.append(Statistic.score(cfg.strategic, delta_true, g))
+                statistics.append(score_statistic(spec, delta_true, g))
             else:
-                statistics.append(Statistic(name))
+                statistics.append(INDEX_STATISTICS[name])
     except SeparationError:
         return None
     observed_values = [statistic(observed) for statistic in statistics]

@@ -145,6 +145,9 @@ class StrategicSpec:
     The values of ``matrix_fn`` are integers, but not always of an integer
     dtype: transitivity returns float64 so that its matrix product runs in
     BLAS, and that is exact while the counts stay below 2**53.
+
+    A spec used with worker processes (``jobs`` > 1) needs a module-level
+    ``matrix_fn``, as the built-in specs have: closures do not pickle.
     """
 
     kind: str
@@ -154,34 +157,36 @@ class StrategicSpec:
     monotone: bool = True
 
 
+def _reciprocity_terms(a):
+    return a.T.astype(np.int64)
+
+
+def _transitivity_terms(a):
+    a = a.astype(np.float64)
+    return a @ a
+
+
+def _customer_product_terms(a):
+    a = a.astype(np.int64)
+    out = a.sum(axis=1)
+    return (out[:, None] - a) * out[None, :]
+
+
 def reciprocity_spec() -> StrategicSpec:
     """s_ij = d_ji: the value of i -> j rises when j links back."""
-
-    def matrix(a):
-        return a.T.astype(np.int64)
-
-    return StrategicSpec("reciprocity", matrix, 0, 1)
+    return StrategicSpec("reciprocity", _reciprocity_terms, 0, 1)
 
 
 def transitivity_spec(n: int) -> StrategicSpec:
     """s_ij = #{k : i -> k -> j}: arcs to j's endorsers make i -> j cheaper."""
-
-    def matrix(a):
-        a = a.astype(np.float64)
-        return a @ a
-
-    return StrategicSpec("transitivity", matrix, 0, max(0, n - 2))
+    return StrategicSpec("transitivity", _transitivity_terms, 0, max(0, n - 2))
 
 
 def customer_product_spec(n: int) -> StrategicSpec:
     """s_ij = (out-degree of i excluding j) * (out-degree of j)."""
-
-    def matrix(a):
-        a = a.astype(np.int64)
-        out = a.sum(axis=1)
-        return (out[:, None] - a) * out[None, :]
-
-    return StrategicSpec("customer_product", matrix, 0, max(0, (n - 2) * (n - 1)))
+    return StrategicSpec(
+        "customer_product", _customer_product_terms, 0, max(0, (n - 2) * (n - 1))
+    )
 
 
 _SPEC_BUILDERS = {

@@ -582,6 +582,15 @@ def mixing_time_heuristic(
 _ENUMERATION_CAP = 30  # max number of off-diagonal cells, i.e. n*(n-1)
 
 
+def check_enumerable(n: int) -> None:
+    """Refuse ``n`` nodes when n*(n-1) exceeds the enumeration cap."""
+    if n * (n - 1) > _ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration supports at most {_ENUMERATION_CAP} potential arcs "
+            f"(n*(n-1) = {n * (n - 1)} for n = {n})"
+        )
+
+
 def enumerate_reference_set(
     s: DegreeSequence, m: CrossLinkMatrix, g: GroupAssignment
 ) -> list[AdjacencyMatrix]:
@@ -593,11 +602,7 @@ def enumerate_reference_set(
     that is not meaningful.  Inconsistent inputs yield an empty list.
     """
     n = len(s.out_degrees)
-    if n * (n - 1) > _ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration supports at most {_ENUMERATION_CAP} potential arcs "
-            f"(n*(n-1) = {n * (n - 1)} for n = {n})"
-        )
+    check_enumerable(n)
     if g.n_nodes != n:
         raise ValueError("group assignment does not match degree sequence length")
     if m.n_groups != g.n_groups:

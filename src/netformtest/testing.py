@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -52,11 +53,18 @@ __all__ = [
     "conditional_p_value",
     "exact_conditional_critical_values",
     "locally_best_statistic",
+    "score_statistic",
 ]
 
 REFERENCES = ("density_only", "degree_only", "degree_and_crosslink", "enumerated")
 
 TI_NOTE = "closed two-path ratio over directed two-paths (i,k,j distinct)"
+
+#: The descriptive index statistics by name; each is a function of the network.
+INDEX_STATISTICS = {
+    "reciprocity_index": reciprocity_index,
+    "transitivity_index": transitivity_index,
+}
 
 # Substream namespaces under the root seed.
 _NS_DRAW = 0
@@ -74,7 +82,14 @@ def locally_best_statistic(
     Large values indicate more arcs than the null predicts exactly where the
     interaction term s makes arcs more attractive.
     """
-    return _score(d, _link_probabilities(delta, g), spec.matrix_fn)
+    return score_statistic(spec, delta, g)(d)
+
+
+def score_statistic(spec: StrategicSpec, delta: NuisanceParams, g: GroupAssignment):
+    """The locally best score against ``spec`` under the null ``delta`` as a
+    function of the network, with the null link probabilities computed once;
+    it pickles when ``spec.matrix_fn`` does."""
+    return partial(_score, P=_link_probabilities(delta, g), matrix_fn=spec.matrix_fn)
 
 
 def _score(d: AdjacencyMatrix, P: np.ndarray, matrix_fn) -> float:
@@ -106,56 +121,25 @@ class TestStatisticSpec:
     delta: Optional[NuisanceParams] = None
 
     def __post_init__(self):
-        if self.kind not in ("locally_best", "reciprocity_index", "transitivity_index"):
+        if self.kind != "locally_best" and self.kind not in INDEX_STATISTICS:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         if self.kind == "locally_best":
             if self.strategic is None:
                 raise ValueError("locally_best needs a strategic term name")
+            strategic_spec(self.strategic, 0)  # refuses an unknown name
             if self.delta_source not in ("fitted", "provided"):
                 raise ValueError("delta_source must be 'fitted' or 'provided'")
             if self.delta_source == "provided" and self.delta is None:
                 raise ValueError("delta_source='provided' requires delta")
 
-    def resolve(self, d: AdjacencyMatrix, g: GroupAssignment) -> Statistic:
-        """The statistic for the observed network ``d`` (fits the MLE if asked)."""
+    def resolve(self, d: AdjacencyMatrix, g: GroupAssignment):
+        """The statistic for the observed network ``d`` (fits the MLE if asked),
+        as a picklable function of a network, ready for every reference draw."""
         if self.kind != "locally_best":
-            return Statistic(self.kind)
+            return INDEX_STATISTICS[self.kind]
+        spec = strategic_spec(self.strategic, d.n)
         delta = self.delta if self.delta_source == "provided" else mle_null(d, g)
-        return Statistic.score(self.strategic, delta, g)
-
-
-@dataclass(frozen=True, eq=False)
-class Statistic:
-    """A statistic ready to evaluate on the observed network and every draw.
-
-    It pickles, so worker processes evaluate it too.  The locally best score
-    keeps the name of its strategic term (a :class:`StrategicSpec` holds
-    closures, which do not pickle) and the null link probabilities ``P``,
-    computed once from the nuisance parameters.
-    """
-
-    kind: str
-    strategic: Optional[str] = None
-    P: Optional[np.ndarray] = None
-
-    @classmethod
-    def score(cls, strategic: str, delta: NuisanceParams, g: GroupAssignment) -> Statistic:
-        """The locally best score against ``strategic`` under the null ``delta``."""
-        return cls("locally_best", strategic, _link_probabilities(delta, g))
-
-    def __call__(self, d: AdjacencyMatrix) -> float:
-        if self.kind == "reciprocity_index":
-            return reciprocity_index(d)
-        if self.kind == "transitivity_index":
-            return transitivity_index(d)
-        return _score(d, self.P, strategic_spec(self.strategic, d.n).matrix_fn)
-
-
-def statistic_note(kind: str) -> Optional[str]:
-    """Formula disambiguation attached to the output for ambiguous names."""
-    if kind == "transitivity_index":
-        return TI_NOTE
-    return None
+        return score_statistic(spec, delta, g)
 
 
 def add_one_p_value(observed: float, values: np.ndarray) -> float:
@@ -406,9 +390,8 @@ def conditional_p_value(
     else:
         diagnostics["acceptance_rate"] = None
         diagnostics["per_arc_modifications"] = None
-    note = statistic_note(stat.kind)
-    if note:
-        diagnostics["statistic_note"] = note
+    if stat.kind == "transitivity_index":
+        diagnostics["statistic_note"] = TI_NOTE
     if math.isnan(observed_value):
         warnings.warn(
             f"the observed {stat.kind} is undefined; p-value is undefined too",

@@ -23,7 +23,12 @@ from netformtest.sampler import (
     _walk,
     switch_cycle,
 )
-from netformtest.testing import Statistic, add_one_p_value, reference_draws
+from netformtest.testing import (
+    INDEX_STATISTICS,
+    add_one_p_value,
+    reference_draws,
+    score_statistic,
+)
 
 # (name, n, groups, arcs, expected reference-set size)
 CHAIN_FIXTURES = [
@@ -739,12 +744,11 @@ def full_replication(cfg, seed, gamma_index, rep):
     try:
         for name in cfg.statistics:
             if name == "locally_best_fitted":
-                delta_hat = nt.mle_null(observed, g)
-                statistics.append(Statistic.score(cfg.strategic, delta_hat, g))
+                statistics.append(score_statistic(spec, nt.mle_null(observed, g), g))
             elif name == "locally_best_true":
-                statistics.append(Statistic.score(cfg.strategic, delta_true, g))
+                statistics.append(score_statistic(spec, delta_true, g))
             else:
-                statistics.append(Statistic(name))
+                statistics.append(INDEX_STATISTICS[name])
     except nt.SeparationError:
         return None
 

@@ -510,6 +510,22 @@ def test_bad_experiment_settings_exit_3(tmp_path, capsys):
         )
         assert code == 3, bad
         assert "bad experiment configuration" in capsys.readouterr().err
+    # refused when the configuration is built, before any replication runs
+    for bad in (
+        {"reference": "bogus"},
+        {"q": 1.5},
+        {"mixing_r": -1},
+        {"reference": "enumerated"},
+        {"statistics": []},
+        {"gammas": []},
+    ):
+        cfg_file.write_text(json.dumps(bad))
+        code = main(
+            ["mc-experiment", "--config", str(cfg_file), "--n-nodes", "8", "--n-reps", "2"]
+            + ["--out", str(tmp_path / "o"), "--seed", "1"]
+        )
+        assert code == 3, bad
+        assert "bad experiment configuration" in capsys.readouterr().err
     code = main(
         ["mc-experiment", "--alpha", "0", "--n-reps", "1", "--out", str(tmp_path / "o2"), "--seed", "1"]
     )

@@ -128,6 +128,13 @@ def test_default_config_matches_the_desk_scale_protocol():
         (dict(n_reps=1.5), "n_reps must be an integer"),
         (dict(n_nodes=True), "n_nodes must be an integer"),
         (dict(q="0.5"), "q must be a real number"),
+        (dict(reference="bogus"), "unknown reference 'bogus'"),
+        (dict(q=1.5), r"q must lie in \[0, 1\)"),
+        (dict(mixing_r=-1), "mixing_r must be non-negative"),
+        (dict(n_nodes=8, reference="enumerated"), "enumeration supports at most 30"),
+        (dict(statistics=()), "must not be empty"),
+        (dict(gammas=()), "must not be empty"),
+        (dict(strategic="bogus"), "unknown strategic specification"),
     ],
 )
 def test_config_rejects_invalid_settings(kwargs, msg):

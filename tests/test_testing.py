@@ -7,6 +7,7 @@ and exact tail probabilities on fully enumerated reference sets.
 """
 
 import math
+import pickle
 import random
 import warnings
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import netformtest as nt
+from netformtest import model, testing
 from netformtest._rng import substream_generator, substream_random
 from netformtest.graphs import (
     cross_link_matrix,
@@ -28,7 +30,6 @@ from netformtest.testing import (
     REFERENCES,
     TI_NOTE,
     CriticalValues,
-    Statistic,
     _density_only_draw,
     decided_at,
     reference_draws,
@@ -259,8 +260,58 @@ def test_statistic_spec_validation():
         nt.TestStatisticSpec(
             kind="locally_best", strategic="reciprocity", delta_source="provided"
         )
+    with pytest.raises(ValueError, match="unknown strategic specification 'bogus'"):
+        nt.TestStatisticSpec(kind="locally_best", strategic="bogus")
     spec = nt.TestStatisticSpec(kind="transitivity_index")
     assert spec.delta is None
+
+
+_DELTA12 = nt.NuisanceParams(
+    np.linspace(-1.0, 1.0, 12),
+    np.linspace(0.5, -0.5, 12),
+    np.array([[0.0, -1.0], [-0.5, 0.3]]),
+)
+_RESOLVABLE = [
+    nt.TestStatisticSpec(kind="reciprocity_index"),
+    nt.TestStatisticSpec(kind="transitivity_index"),
+] + [
+    nt.TestStatisticSpec("locally_best", term, source, delta)
+    for term in ("reciprocity", "transitivity", "customer_product")
+    for source, delta in (("fitted", None), ("provided", _DELTA12))
+]
+
+
+@pytest.mark.parametrize(
+    "stat", _RESOLVABLE, ids=[f"{s.kind}-{s.strategic}-{s.delta_source}" for s in _RESOLVABLE]
+)
+def test_resolved_statistics_pickle_to_the_same_function(stat):
+    d, g = fittable_network()
+    other = random_digraph(12, 0.4, random.Random(5))
+    statistic = stat.resolve(d, g)
+    clone = pickle.loads(pickle.dumps(statistic))
+    for network in (d, other):
+        assert clone(network) == statistic(network)
+    if stat.kind == "locally_best":
+        delta = stat.delta if stat.delta is not None else nt.mle_null(d, g)
+        spec = nt.strategic_spec(stat.strategic, 12)
+        assert statistic(other) == nt.locally_best_statistic(other, delta, spec, g)
+
+
+@pytest.mark.parametrize("term", ["reciprocity", "transitivity", "customer_product"])
+def test_a_resolved_score_looks_up_no_term_per_draw(monkeypatch, term):
+    d, g = fittable_network()
+    statistic = nt.TestStatisticSpec("locally_best", term).resolve(d, g)
+    expected = nt.locally_best_statistic(d, nt.mle_null(d, g), nt.strategic_spec(term, 12), g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strategic_spec called after resolve")
+
+    monkeypatch.setattr(model, "strategic_spec", refuse)
+    monkeypatch.setattr(testing, "strategic_spec", refuse)
+    assert statistic(d) == expected
+    draws = reference_draws(d, g, "degree_and_crosslink", 3, ChainConfig(tau=20, q=0.5), seed=7)
+    values, _ = draws.values([statistic])
+    assert values.shape == (3, 1) and np.isfinite(values).all()
 
 
 # -- conditional p-values -----------------------------------------------------------
@@ -402,7 +453,7 @@ def test_curtailed_values_are_the_draws_up_to_the_decision(reference, jobs):
     # at alpha = 0.05 over 39 draws a statistic is decided at its second
     # exceedance, since (1 + 2)/40 > 0.05 = (1 + 1)/40
     d, g = fittable_network()
-    statistics = [Statistic("transitivity_index"), Statistic("reciprocity_index")]
+    statistics = [transitivity_index, reciprocity_index]
     draws = reference_draws(d, g, reference, 39, ChainConfig(tau=20, q=0.5), seed=59)
     full, full_stats = draws.values(statistics)
     # any observed values will do; the medians of the draws decide early
