@@ -192,13 +192,6 @@ def _load_params(path, ctx: _RunContext) -> tuple[NuisanceParams, GroupAssignmen
     return delta, g
 
 
-def _chain_config(args) -> ChainConfig | None:
-    """The walk that --tau and --q fix; None means pilot-tuned (--tau-auto)."""
-    if args.tau is not None:
-        return ChainConfig(tau=args.tau, q=args.q)
-    return None
-
-
 def _fit_gradient_sup_norm(d, delta, g) -> float:
     P = _link_probabilities(delta, g)
     np.fill_diagonal(P, 0.0)
@@ -226,10 +219,8 @@ def _cmd_sample(args, ctx: _RunContext) -> dict:
         g,
         conditioning,
         args.draws,
-        _chain_config(args),
+        ChainConfig(args.tau, args.q, args.tau_auto),
         ctx.seed,
-        mixing_r=args.tau_auto,
-        q=args.q,
     )
     stats = ChainStats()
     rows = _arc_rows((draws.draw(b, stats) for b in range(draws.n_draws)), args.index_base)
@@ -315,11 +306,9 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
         stat,
         reference=reference,
         n_draws=args.draws,
-        cfg=_chain_config(args),
+        cfg=ChainConfig(args.tau, args.q, args.tau_auto),
         seed=ctx.seed,
         jobs=ctx.jobs,
-        mixing_r=args.tau_auto,
-        q=args.q,
     )
     _write_json(
         ctx.outdir / "result.json",

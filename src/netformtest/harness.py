@@ -156,12 +156,11 @@ class ExperimentConfig:
             ("n_reps", numbers.Integral, "an integer"),
             ("n_draws", numbers.Integral, "an integer"),
             ("alpha", numbers.Real, "a real number"),
-            ("mixing_r", numbers.Real, "a real number"),
-            ("q", numbers.Real, "a real number"),
         ):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{key} must be {name}, got {value!r}")
+        ChainConfig(None, self.q, self.mixing_r)  # refuses a bad q or mixing_r
         if self.n_nodes < 3:
             raise ValueError("experiments need at least 3 nodes")
         if self.n_reps < 1 or self.n_draws < 1:
@@ -170,8 +169,8 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.gammas or not self.statistics:
             raise ValueError("gammas and statistics must not be empty")
-        if any(gamma < 0 for gamma in self.gammas):
-            raise ValueError("gammas must be non-negative")
+        if not all(math.isfinite(gamma) and gamma >= 0 for gamma in self.gammas):
+            raise ValueError("gammas must be finite and non-negative")
         unknown = set(self.statistics) - {
             "locally_best_fitted",
             "locally_best_true",
@@ -186,9 +185,6 @@ class ExperimentConfig:
             )
         if self.reference == "enumerated":
             check_enumerable(self.n_nodes)
-        if self.mixing_r < 0:
-            raise ValueError("mixing_r must be non-negative")
-        ChainConfig(0, self.q)  # refuses q outside [0, 1)
 
 
 @dataclass(frozen=True)
@@ -254,9 +250,8 @@ def _replication(cfg: ExperimentConfig, seed: int, gamma_index: int, rep: int):
             g,
             cfg.reference,
             cfg.n_draws,
-            seed=chain_seed,
-            mixing_r=cfg.mixing_r,
-            q=cfg.q,
+            ChainConfig(None, cfg.q, cfg.mixing_r),
+            chain_seed,
         )
         stop = decided_at(cfg.alpha, observed_values, draws.n_draws)
         values, _ = draws.values(statistics, stop=stop)

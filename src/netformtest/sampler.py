@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_left, insort
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
@@ -87,22 +88,37 @@ class FrozenChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Chain parameters: walk length ``tau`` and trade probability ``q``.
+    """One walk of the chain: ``tau`` steps per draw, trade probability ``q``.
 
     Each step is a same-group trade with probability ``q`` and a
     cycle-switching attempt otherwise.  ``q = 0`` switches cycles only;
     ``q = 1`` is refused, since trades alone need not reach the whole
     reference set (no trade turns a directed triangle into its reverse).
+    ``tau = None`` asks a pilot (:func:`mixing_time_heuristic`) for a walk
+    that modifies each arc about ``mixing_r`` times per draw.
     """
 
-    tau: int
+    tau: Optional[int] = None
     q: float = 0.5
+    mixing_r: float = 10.0
 
     def __post_init__(self):
-        if self.tau < 0:
+        for key, kind, name in (
+            ("tau", (numbers.Integral, type(None)), "an integer or None"),
+            ("q", numbers.Real, "a real number"),
+            ("mixing_r", numbers.Real, "a real number"),
+        ):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{key} must be {name}, got {value!r}")
+        if self.tau is not None and self.tau < 0:
             raise ValueError("tau must be non-negative")
         if not 0.0 <= self.q < 1.0:
             raise ValueError("trade probability q must lie in [0, 1)")
+        if not math.isfinite(self.mixing_r):
+            raise ValueError(f"mixing_r must be finite, got {self.mixing_r!r}")
+        if self.mixing_r < 0:
+            raise ValueError("mixing_r must be non-negative")
 
 
 class StepInfo(NamedTuple):
@@ -511,10 +527,13 @@ def markov_draw(
     trade steps, and ``flips`` the arc modifications of trades and cycle
     switches together (see :class:`ChainStats`).  The steps are those of :func:`markov_step`, made on the copy
     together with its neighbour lists (:func:`_neighbour_lists`), which are
-    built once here.
+    built once here.  A pilot-tuned ``cfg`` (``tau`` None) raises ValueError:
+    resolve it first, as :func:`testing.reference_draws` does.
     """
     out = d.copy()
     tau = cfg.tau
+    if tau is None:
+        raise ValueError("markov_draw needs a fixed walk length; cfg.tau is None")
     outs, nonins = _neighbour_lists(out)
     codes, K, members = g.codes, g.n_groups, g.members
     q = cfg.q
@@ -556,17 +575,15 @@ def mixing_time_heuristic(
     trades and those flipped by cycle switches together (``ChainStats.flips``);
     the returned tau solves tau * flips_per_step = r * arc_count,
     i.e. tau = ceil(r * L * pilot_steps / pilot_flips).  ``r = 0`` returns 1
-    without a pilot.  A pilot with zero flips raises
-    :class:`FrozenChainError`.
+    without a pilot.  ``r`` and ``q`` are checked as :class:`ChainConfig`
+    checks them, and an r so large that tau overflows to infinity raises
+    ValueError.  A pilot with zero flips raises :class:`FrozenChainError`.
     """
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    cfg = ChainConfig(pilot_steps, q, r)
     if r == 0:
         return 1
     if rng is None:
         raise ValueError("the pilot run needs an explicit rng")
-    L = d.arc_count()
-    cfg = ChainConfig(tau=pilot_steps, q=q)
     stats = ChainStats()
     markov_draw(d, g, cfg, rng, stats)
     if stats.flips == 0:
@@ -574,7 +591,10 @@ def mixing_time_heuristic(
             f"sampler appears frozen: pilot run of {pilot_steps} steps "
             "switched no arcs (reference set may contain a single network)"
         )
-    return max(1, math.ceil(r * L * pilot_steps / stats.flips))
+    tau = r * d.arc_count() * pilot_steps / stats.flips
+    if not math.isfinite(tau):
+        raise ValueError(f"mixing_r = {r!r} gives a walk length that is not finite")
+    return max(1, math.ceil(tau))
 
 
 # -- exhaustive reference sets ----------------------------------------------

@@ -207,9 +207,9 @@ class ReferenceDraws:
     Draw b of a sampled reference uses its own substream (seed,
     draw-namespace, b), so any share of the draws can be made in any process
     with the same result: a numpy Generator for "density_only", a
-    ``random.Random`` for the chain.  ``cfg`` is the chain's walk for
-    "degree_only" and "degree_and_crosslink", with ``g`` the grouping the
-    chain preserves, and None for "density_only".  For "enumerated" the
+    ``random.Random`` for the chain.  ``cfg`` is the chain's walk, with a
+    fixed tau, for "degree_only" and "degree_and_crosslink", with ``g`` the
+    grouping the chain preserves, and None for "density_only".  For "enumerated" the
     draws are ``members``: the whole reference set minus the observed
     network.  Build it with :func:`reference_draws`.
     """
@@ -279,16 +279,17 @@ def reference_draws(
     n_draws: int,
     cfg: Optional[ChainConfig] = None,
     seed: Optional[int] = None,
-    mixing_r: float = 10.0,
-    q: float = 0.5,
 ) -> ReferenceDraws:
     """Check the settings of a reference and make ready its draws.
 
     "enumerated" enumerates the reference set now; ``n_draws``, ``cfg`` and
-    ``seed`` are then ignored.  For the chain references, ``cfg`` None
-    pilot-tunes the walk length on the substream (seed, pilot-namespace) so
-    that each arc is modified about ``mixing_r`` times per draw, with trade
-    probability ``q`` in the pilot and in the draws.
+    ``seed`` are then ignored, and so is ``cfg`` for "density_only".  The
+    chain references walk as ``cfg`` says, ``ChainConfig()`` when it is
+    None.  A pilot-tuned ``cfg`` (``tau`` None) is resolved here, once: a
+    pilot with trade probability ``cfg.q`` on the substream (seed,
+    pilot-namespace) sets tau so that each arc is modified about
+    ``cfg.mixing_r`` times per draw, and the draws take
+    ``ChainConfig(tau, cfg.q, cfg.mixing_r)``.
     """
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
@@ -311,9 +312,11 @@ def reference_draws(
     if reference == "degree_only":
         g = GroupAssignment.single_group(observed.n)
     if cfg is None:
+        cfg = ChainConfig()
+    if cfg.tau is None:
         pilot_rng = substream_random(seed, _NS_PILOT)
-        tau = mixing_time_heuristic(observed, g, r=mixing_r, q=q, rng=pilot_rng)
-        cfg = ChainConfig(tau=tau, q=q)
+        tau = mixing_time_heuristic(observed, g, r=cfg.mixing_r, q=cfg.q, rng=pilot_rng)
+        cfg = ChainConfig(tau, cfg.q, cfg.mixing_r)
     return ReferenceDraws(observed, g, reference, n_draws, cfg, seed)
 
 
@@ -352,8 +355,6 @@ def conditional_p_value(
     cfg: Optional[ChainConfig] = None,
     seed: Optional[int] = None,
     jobs: int = 1,
-    mixing_r: float = 10.0,
-    q: float = 0.5,
 ) -> TestResult:
     """Monte Carlo conditional test of the no-interaction null.
 
@@ -362,14 +363,14 @@ def conditional_p_value(
     "degree_and_crosslink" additionally fixes the cross-group arc counts, and
     "enumerated" replaces sampling with the full reference set (minus the
     observed network), making the add-one p-value the exact conditional tail
-    probability.  When ``cfg`` is None the walk length comes from
-    :func:`mixing_time_heuristic` on a pilot run tuned to modify each arc
-    ``mixing_r`` times per draw, and the pilot and the draws use trade
-    probability ``q``.  Draw b uses the substream (seed, draw-namespace, b), so
-    results are independent of ``jobs``.
+    probability.  ``cfg`` is the chain's walk, ``ChainConfig()`` when None;
+    with ``cfg.tau`` None a pilot sets tau (see :func:`reference_draws`), and
+    the result reports the tau and q the draws used.  Draw b uses the
+    substream (seed, draw-namespace, b), so results are independent of
+    ``jobs``.
     """
     statistic = stat.resolve(d, g)
-    draws = reference_draws(d, g, reference, n_draws, cfg, seed, mixing_r, q)
+    draws = reference_draws(d, g, reference, n_draws, cfg, seed)
     values, chain_stats = draws.values([statistic], jobs)
     values = values[:, 0]
     observed_value = statistic(d)

@@ -764,9 +764,8 @@ def full_replication(cfg, seed, gamma_index, rep):
             g,
             cfg.reference,
             cfg.n_draws,
-            seed=chain_seed,
-            mixing_r=cfg.mixing_r,
-            q=cfg.q,
+            nt.ChainConfig(None, cfg.q, cfg.mixing_r),
+            chain_seed,
         )
         values, _ = draws.values(statistics)
     except nt.FrozenChainError:

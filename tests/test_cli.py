@@ -531,6 +531,36 @@ def test_bad_experiment_settings_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "alpha" in capsys.readouterr().err
+    # non-finite numbers on the command line
+    for flags, message in (
+        (["--mixing-r", "inf"], "mixing_r must be finite"),
+        (["--gammas", "inf"], "gammas must be finite"),
+        (["--gammas", "nan"], "gammas must be finite"),
+    ):
+        code = main(
+            ["mc-experiment", "--n-nodes", "16", *flags]
+            + ["--out", str(tmp_path / "o3"), "--seed", "1"]
+        )
+        assert code == 3, flags
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        ("inf", "mixing_r must be finite"),
+        ("nan", "mixing_r must be finite"),
+        ("1e308", "walk length that is not finite"),
+    ],
+)
+def test_non_finite_walk_settings_exit_3(tmp_path, capsys, interior12, r, message):
+    _, _, edges, nodes = interior12
+    code = main(
+        ["test", "--edges", str(edges), "--nodes", str(nodes), "--draws", "5"]
+        + ["--tau-auto", r, "--out", str(tmp_path / "o"), "--seed", "1"]
+    )
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,9 @@ def test_default_config_matches_the_desk_scale_protocol():
         (dict(statistics=()), "must not be empty"),
         (dict(gammas=()), "must not be empty"),
         (dict(strategic="bogus"), "unknown strategic specification"),
+        (dict(gammas=(0.1, float("inf"))), "gammas must be finite"),
+        (dict(gammas=(float("nan"),)), "gammas must be finite"),
+        (dict(mixing_r=float("inf")), "mixing_r must be finite"),
     ],
 )
 def test_config_rejects_invalid_settings(kwargs, msg):

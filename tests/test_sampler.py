@@ -501,6 +501,27 @@ def test_chain_config_validation():
     with pytest.raises(ValueError, match="trade probability"):
         ChainConfig(tau=1, q=-0.01)
     assert ChainConfig(tau=0, q=0.0).tau == 0
+    for bad, msg in (
+        (dict(tau=2.5), "tau must be an integer or None"),
+        (dict(tau=True), "tau must be an integer or None"),
+        (dict(tau=3, q="0.5"), "q must be a real number"),
+        (dict(q=True), "q must be a real number"),
+        (dict(mixing_r="10"), "mixing_r must be a real number"),
+        (dict(mixing_r=False), "mixing_r must be a real number"),
+        (dict(mixing_r=-1.0), "mixing_r must be non-negative"),
+        (dict(mixing_r=math.inf), "mixing_r must be finite"),
+        (dict(mixing_r=math.nan), "mixing_r must be finite"),
+        (dict(q=math.nan), "trade probability"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            ChainConfig(**bad)
+
+
+def test_default_chain_config_is_pilot_tuned_and_markov_draw_refuses_it():
+    d, g, _ = build_fixture(CHAIN_FIXTURES[0])
+    assert ChainConfig() == ChainConfig(None, 0.5, 10.0)
+    with pytest.raises(ValueError, match="tau is None"):
+        markov_draw(d, g, ChainConfig(), random.Random(1))
 
 
 def test_markov_draw_copies_and_preserves_invariants():
@@ -885,6 +906,11 @@ def test_pilot_requires_an_explicit_rng():
         mixing_time_heuristic(d, g, r=5.0)
     with pytest.raises(ValueError, match="non-negative"):
         mixing_time_heuristic(d, g, r=-1.0, rng=random.Random(1))
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mixing_r must be finite"):
+            mixing_time_heuristic(d, g, r=r, rng=random.Random(1))
+    with pytest.raises(ValueError, match="not finite"):
+        mixing_time_heuristic(d, g, r=1e308, rng=random.Random(1))
 
 
 def test_heuristic_solves_the_flip_rate_equation():

@@ -518,17 +518,19 @@ def test_reference_and_draw_count_validation():
     assert "enumerated" in REFERENCES
 
 
-def test_automatic_walk_length_reproduces_the_pilot_formula():
+@pytest.mark.parametrize("q", [0.5, 0.2])
+def test_automatic_walk_length_reproduces_the_pilot_formula(q):
     d, g, _ = build_fixture(CHAIN_FIXTURES[1])
     stat = nt.TestStatisticSpec(kind="reciprocity_index")
     res = nt.conditional_p_value(
         d, g, stat, reference="degree_and_crosslink",
-        n_draws=10, seed=61, mixing_r=5.0,
+        n_draws=10, cfg=nt.ChainConfig(q=q, mixing_r=5.0), seed=61,
     )
     expected = nt.mixing_time_heuristic(
-        d, g, r=5.0, q=0.5, rng=substream_random(61, _NS_PILOT)
+        d, g, r=5.0, q=q, rng=substream_random(61, _NS_PILOT)
     )
     assert res.tau == expected >= 1
+    assert res.q == q
 
 
 def test_density_only_reference_fixes_exactly_the_arc_count():

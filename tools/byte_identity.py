@@ -54,6 +54,10 @@ def commands() -> list[tuple[str, list[str]]]:
         ),
         ("sample_groups", ["sample", *NET, *CHAIN]),
         ("sample_one_group", ["sample", "--edges", "inputs/edges.csv", "--draws", "20"]),
+        (
+            "sample_pilot_tuned_q0.9",
+            ["sample", *NET, "--draws", "20", "--q", "0.9", "--tau-auto", "2"],
+        ),
         ("enumerate", ["enumerate", *TINY, "--write-members"]),
     ]
     for statistic in ("locally-best", "ti", "reciprocity"):
@@ -81,6 +85,10 @@ def commands() -> list[tuple[str, list[str]]]:
              "--params", "runs/fit/params.json", "--jobs", "2"],
         ),
         ("test_pilot_tuned", ["test", *NET, "--draws", "20", "--tau-auto", "2"]),
+        (
+            "test_pilot_tuned_q0.2_jobs2",
+            ["test", *NET, "--draws", "20", "--q", "0.2", "--tau-auto", "2", "--jobs", "2"],
+        ),
         ("test_enumerated", ["test", *TINY, "--statistic", "ti", "--reference", "enumerated"]),
         ("test_zero_draws", ["test", *NET, "--draws", "0", "--tau", "5"]),
     ]
@@ -104,12 +112,21 @@ def commands() -> list[tuple[str, list[str]]]:
              "--reference", "enumerated"],
         )
     )
+    cmds.append(
+        (
+            "mc_config_q0.2_r2_jobs2",
+            ["mc-experiment", "--config", "inputs/experiment.json", *EXPERIMENT,
+             "--jobs", "2"],
+        )
+    )
     return cmds
 
 
 def write_inputs(inputs: Path) -> None:
-    """A 16-node two-group network with homophily, and a 5-node network
-    small enough to enumerate."""
+    """A 16-node two-group network with homophily, a 5-node network small
+    enough to enumerate, and an experiment configuration file that sets the
+    trade probability and the pilot's target to values other than their
+    defaults."""
     inputs.mkdir(parents=True)
     rng = np.random.default_rng(2026)
     groups = np.arange(16) % 2
@@ -125,6 +142,7 @@ def write_inputs(inputs: Path) -> None:
             csv.writer(fh).writerows([("source", "target"), *edges])
         with open(inputs / f"{stem}nodes.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([("node", "group"), *enumerate(codes)])
+    (inputs / "experiment.json").write_text(json.dumps({"q": 0.2, "mixing_r": 2}))
 
 
 def main(argv: list[str]) -> int:
