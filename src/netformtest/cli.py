@@ -162,17 +162,17 @@ class _RunContext:
 def _load_network(args, ctx: _RunContext) -> tuple[AdjacencyMatrix, GroupAssignment]:
     base = args.index_base
     edges = read_edge_csv(ctx.track(args.edges), base)
-    if getattr(args, "nodes", None):
+    if args.nodes:
         n, g = read_node_csv(ctx.track(args.nodes), base)
+        return from_edge_list(edges, n), g
+    if args.n_nodes is not None:
+        n = args.n_nodes
+    elif edges:
+        n = max(max(i, j) for i, j in edges) + 1
     else:
-        if getattr(args, "n_nodes", None):
-            n = args.n_nodes
-        elif edges:
-            n = max(max(i, j) for i, j in edges) + 1
-        else:
-            raise DataError("empty edge list and no --nodes/--n-nodes given")
-        g = GroupAssignment.single_group(n)
-    return from_edge_list(edges, n), g
+        raise DataError("empty edge list and no --nodes/--n-nodes given")
+    d = from_edge_list(edges, n)  # refuses n < 1 before the group does
+    return d, GroupAssignment.single_group(n)
 
 
 def _load_params(path, ctx: _RunContext) -> tuple[NuisanceParams, GroupAssignment]:
@@ -271,7 +271,7 @@ def _cmd_simulate(args, ctx: _RunContext) -> dict:
     if args.gamma == 0.0:
         d = simulate_null(delta, g, rng)
     else:
-        spec = strategic_spec(_SPEC_OF[args.spec], g.n_nodes)
+        spec = strategic_spec(_SPEC_OF[args.spec])
         d = simulate_alternative(delta, args.gamma, spec, g, rng)
     write_edge_csv(ctx.outdir / "edges.csv", d, args.index_base)
     print(f"simulated network with {d.arc_count()} arcs on {d.n} nodes")
@@ -292,8 +292,10 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
         if not args.params:
             raise DataError("--delta-source provided requires --params")
         delta, g_params = _load_params(args.params, ctx)
-        if not getattr(args, "nodes", None):
+        if not args.nodes:
             g = g_params
+    elif args.params:
+        raise DataError("--params is read only with --delta-source provided")
     stat = TestStatisticSpec(
         kind=kind,
         strategic=_SPEC_OF[args.spec] if kind == "locally_best" else None,

@@ -178,7 +178,7 @@ class ExperimentConfig:
         }
         if unknown:
             raise ValueError(f"unknown statistics: {sorted(unknown)}")
-        strategic_spec(self.strategic, self.n_nodes)  # refuses an unknown name
+        strategic_spec(self.strategic)  # refuses an unknown name
         if self.reference not in REFERENCES:
             raise ValueError(
                 f"unknown reference {self.reference!r}; choose from {REFERENCES}"
@@ -221,7 +221,7 @@ def _replication(cfg: ExperimentConfig, seed: int, gamma_index: int, rep: int):
     rng_pop = substream_generator(seed, _NS_POPULATION, gamma_index, rep)
     delta_true, g = study_population(cfg.n_nodes, rng_pop)
     rng_shocks = substream_generator(seed, _NS_SHOCKS, gamma_index, rep)
-    spec = strategic_spec(cfg.strategic, cfg.n_nodes)
+    spec = strategic_spec(cfg.strategic)
     if gamma == 0.0:
         observed = simulate_null(delta_true, g, rng_shocks)
     else:

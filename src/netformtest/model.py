@@ -30,13 +30,10 @@ __all__ = [
     "logistic_cdf",
     "mle_null",
     "null_log_likelihood",
-    "reciprocity_spec",
     "simulate_alternative",
     "simulate_null",
     "strategic_spec",
     "systematic_utility",
-    "transitivity_spec",
-    "customer_product_spec",
 ]
 
 #: Newton ascent of :func:`mle_null`: stop once every free gradient component
@@ -137,10 +134,11 @@ class StrategicSpec:
 
     ``matrix_fn(a)`` evaluates the whole matrix of s_ij values from a dense
     0/1 array (diagonal meaningless).  Each s_ij excludes the own arc d_ij —
-    the exclusion restriction: s_ij(d) never depends on d_ij itself.  ``s_min``
-    and ``s_max`` bound the attainable values; ``monotone`` says whether s is
-    non-decreasing in every other arc, which is what guarantees existence of
-    a least equilibrium under gamma >= 0.
+    the exclusion restriction: s_ij(d) never depends on d_ij itself.
+    ``monotone`` says whether s is non-decreasing in every other arc, which
+    is what guarantees existence of a least equilibrium under gamma >= 0.
+    The locally best statistic needs nothing else: the range of s enters
+    only the likelihood's two-case decomposition, where it cancels.
 
     The values of ``matrix_fn`` are integers, but not always of an integer
     dtype: transitivity returns float64 so that its matrix product runs in
@@ -152,60 +150,43 @@ class StrategicSpec:
 
     kind: str
     matrix_fn: Callable[[np.ndarray], np.ndarray]
-    s_min: int
-    s_max: int
     monotone: bool = True
 
 
 def _reciprocity_terms(a):
+    """s_ij = d_ji: the value of i -> j rises when j links back."""
     return a.T.astype(np.int64)
 
 
 def _transitivity_terms(a):
+    """s_ij = #{k : i -> k -> j}: arcs to j's endorsers make i -> j cheaper."""
     a = a.astype(np.float64)
     return a @ a
 
 
 def _customer_product_terms(a):
+    """s_ij = (out-degree of i excluding j) * (out-degree of j)."""
     a = a.astype(np.int64)
     out = a.sum(axis=1)
     return (out[:, None] - a) * out[None, :]
 
 
-def reciprocity_spec() -> StrategicSpec:
-    """s_ij = d_ji: the value of i -> j rises when j links back."""
-    return StrategicSpec("reciprocity", _reciprocity_terms, 0, 1)
-
-
-def transitivity_spec(n: int) -> StrategicSpec:
-    """s_ij = #{k : i -> k -> j}: arcs to j's endorsers make i -> j cheaper."""
-    return StrategicSpec("transitivity", _transitivity_terms, 0, max(0, n - 2))
-
-
-def customer_product_spec(n: int) -> StrategicSpec:
-    """s_ij = (out-degree of i excluding j) * (out-degree of j)."""
-    return StrategicSpec(
-        "customer_product", _customer_product_terms, 0, max(0, (n - 2) * (n - 1))
-    )
-
-
-_SPEC_BUILDERS = {
-    "reciprocity": lambda n: reciprocity_spec(),
-    "transitivity": transitivity_spec,
-    "customer_product": customer_product_spec,
+_SPECS = {
+    "reciprocity": StrategicSpec("reciprocity", _reciprocity_terms),
+    "transitivity": StrategicSpec("transitivity", _transitivity_terms),
+    "customer_product": StrategicSpec("customer_product", _customer_product_terms),
 }
 
 
-def strategic_spec(kind: str, n: int) -> StrategicSpec:
+def strategic_spec(kind: str) -> StrategicSpec:
     """Look up a built-in specification by name."""
     try:
-        builder = _SPEC_BUILDERS[kind]
+        return _SPECS[kind]
     except KeyError:
         raise ValueError(
             f"unknown strategic specification {kind!r}; "
-            f"choose from {sorted(_SPEC_BUILDERS)}"
+            f"choose from {sorted(_SPECS)}"
         ) from None
-    return builder(n)
 
 
 # -- null likelihood and MLE -------------------------------------------------
@@ -440,8 +421,11 @@ def simulate_alternative(
     monotone structure, so a pure-strategy equilibrium is not guaranteed.
 
     With gamma = 0 and the same shocks this reproduces
-    :func:`simulate_null` exactly.
+    :func:`simulate_null` exactly.  A gamma that is not finite raises
+    ValueError.
     """
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     n = g.n_nodes
     mu = systematic_utility(delta, g)
     if shocks is None:

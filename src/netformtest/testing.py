@@ -112,7 +112,7 @@ class TestStatisticSpec:
     ("reciprocity", "transitivity", "customer_product").  ``delta_source``
     says where its nuisance parameters come from: "fitted" fits the null MLE
     on the observed network once (reference draws reuse it), "provided"
-    uses ``delta``.
+    uses ``delta``, which is refused beside "fitted".
     """
 
     kind: str
@@ -126,18 +126,20 @@ class TestStatisticSpec:
         if self.kind == "locally_best":
             if self.strategic is None:
                 raise ValueError("locally_best needs a strategic term name")
-            strategic_spec(self.strategic, 0)  # refuses an unknown name
+            strategic_spec(self.strategic)  # refuses an unknown name
             if self.delta_source not in ("fitted", "provided"):
                 raise ValueError("delta_source must be 'fitted' or 'provided'")
             if self.delta_source == "provided" and self.delta is None:
                 raise ValueError("delta_source='provided' requires delta")
+            if self.delta_source == "fitted" and self.delta is not None:
+                raise ValueError("delta is read only with delta_source='provided'")
 
     def resolve(self, d: AdjacencyMatrix, g: GroupAssignment):
         """The statistic for the observed network ``d`` (fits the MLE if asked),
         as a picklable function of a network, ready for every reference draw."""
         if self.kind != "locally_best":
             return INDEX_STATISTICS[self.kind]
-        spec = strategic_spec(self.strategic, d.n)
+        spec = strategic_spec(self.strategic)
         delta = self.delta if self.delta_source == "provided" else mle_null(d, g)
         return score_statistic(spec, delta, g)
 

@@ -79,8 +79,16 @@ PAIR_TERMS = {
 
 
 def pair_term(kind, d, i, j):
-    """Per-pair oracle for ``strategic_spec(kind, n).matrix_fn``: s_ij(d)."""
+    """Per-pair oracle for ``strategic_spec(kind).matrix_fn``: s_ij(d)."""
     return PAIR_TERMS[kind](d, i, j)
+
+
+# The range [s_min, s_max] of each built-in strategic term on n nodes.
+TERM_BOUNDS = {
+    "reciprocity": lambda n: (0, 1),
+    "transitivity": lambda n: (0, max(0, n - 2)),
+    "customer_product": lambda n: (0, max(0, (n - 2) * (n - 1))),
+}
 
 
 def theorem2_derivative(d, delta, spec, g):
@@ -88,9 +96,10 @@ def theorem2_derivative(d, delta, spec, g):
     derivative in gamma at zero, by the two-case decomposition.
 
     Write F = F(mu_ij), f = F(1-F) for the logistic CDF/density and let
-    [s_lo, s_hi] bound the interaction term's range.  Shock configurations
-    with two or more interior buckets contribute at order gamma^2 and drop
-    out.  The all-boundary configurations contribute
+    [s_lo, s_hi] bound the interaction term's range, as ``TERM_BOUNDS``
+    gives it.  Shock configurations with two or more interior buckets
+    contribute at order gamma^2 and drop out.  The all-boundary
+    configurations contribute
 
         sum_{i != j}  d_ij s_lo f/F  -  (1 - d_ij) s_hi f/(1-F)
 
@@ -106,8 +115,7 @@ def theorem2_derivative(d, delta, spec, g):
     f = F * (1.0 - F)
     dense = d.to_array().astype(float)
     S = spec.matrix_fn(dense).astype(float)
-    s_lo = float(spec.s_min)
-    s_hi = float(spec.s_max)
+    s_lo, s_hi = map(float, TERM_BOUNDS[spec.kind](d.n))
     ratio_present = f / F
     ratio_absent = f / (1.0 - F)
     boundary = dense * s_lo * ratio_present - (1.0 - dense) * s_hi * ratio_absent
@@ -734,7 +742,7 @@ def full_replication(cfg, seed, gamma_index, rep):
     rng_pop = substream_generator(seed, harness._NS_POPULATION, gamma_index, rep)
     delta_true, g = harness.study_population(cfg.n_nodes, rng_pop)
     rng_shocks = substream_generator(seed, harness._NS_SHOCKS, gamma_index, rep)
-    spec = nt.strategic_spec(cfg.strategic, cfg.n_nodes)
+    spec = nt.strategic_spec(cfg.strategic)
     if gamma == 0.0:
         observed = nt.simulate_null(delta_true, g, rng_shocks)
     else:

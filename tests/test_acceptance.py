@@ -50,7 +50,6 @@ from netformtest.harness import table1_calibration
 from netformtest.model import (
     draw_logistic_shocks,
     logistic_cdf,
-    reciprocity_spec,
     systematic_utility,
 )
 from netformtest.sampler import (
@@ -185,7 +184,7 @@ def test_04_score_statistic_equals_the_equilibrium_derivative():
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng)
         d = random_digraph(n, 0.4, rng)
-        spec = nt.strategic_spec(rng.choice(SPEC_KINDS), n)
+        spec = nt.strategic_spec(rng.choice(SPEC_KINDS))
         a = nt.locally_best_statistic(d, delta, spec, g)
         b = theorem2_derivative(d, delta, spec, g)
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
@@ -215,7 +214,9 @@ def test_05_reciprocity_likelihood_matches_score_and_simulation():
             up = exact_reciprocity_likelihood(d, g, delta, h)
             down = dyad_likelihood_oracle(d, g, delta, -h)
             derivative = (up - down) / (2.0 * h) / p0
-            score = nt.locally_best_statistic(d, delta, reciprocity_spec(), g)
+            score = nt.locally_best_statistic(
+                d, delta, nt.strategic_spec("reciprocity"), g
+            )
             worst = max(worst, abs(derivative - score) / abs(score))
     assert worst < 1e-4, f"worst relative error {worst:.2e}"
 
@@ -381,7 +382,7 @@ def test_11_simulated_alternatives_are_exact_equilibria():
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng, scale=0.8)
         gamma = rng.random() * 1.2
-        spec = nt.strategic_spec(rng.choice(SPEC_KINDS), n)
+        spec = nt.strategic_spec(rng.choice(SPEC_KINDS))
         shocks = draw_logistic_shocks(rng_np, n)
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
         assert is_equilibrium(d, delta, gamma, spec, g, shocks)

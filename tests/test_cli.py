@@ -564,6 +564,46 @@ def test_non_finite_walk_settings_exit_3(tmp_path, capsys, interior12, r, messag
 
 
 @pytest.mark.parametrize(
+    "gamma", [["--gamma", "nan"], ["--gamma", "inf"], ["--gamma=-inf"]],
+    ids=["nan", "inf", "=-inf"],
+)
+def test_non_finite_gamma_exits_3(tmp_path, capsys, interior12, gamma):
+    _, _, edges, nodes = interior12
+    fit_dir, sim_dir = tmp_path / "fit", tmp_path / "sim"
+    assert main(["fit", "--edges", str(edges), "--nodes", str(nodes),
+                 "--out", str(fit_dir), "--seed", "1"]) == 0
+    code = main(
+        ["simulate", "--params", str(fit_dir / "params.json"), *gamma]
+        + ["--out", str(sim_dir), "--seed", "5"]
+    )
+    assert code == 3
+    assert "gamma must be finite" in capsys.readouterr().err
+    assert not (sim_dir / "edges.csv").exists()
+
+
+def test_unread_network_inputs_exit_3(tmp_path, capsys, interior12):
+    _, _, edges, nodes = interior12
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--edges", str(edges), "--nodes", str(nodes),
+                 "--out", str(fit_dir), "--seed", "1"]) == 0
+    capsys.readouterr()
+    code = main(
+        ["test", "--edges", str(edges), "--nodes", str(nodes), "--draws", "5"]
+        + ["--tau", "5", "--params", str(fit_dir / "params.json")]
+        + ["--out", str(tmp_path / "t"), "--seed", "1"]
+    )
+    assert code == 3
+    assert "--delta-source provided" in capsys.readouterr().err
+    for command in (["fit"], ["sample", "--draws", "5", "--tau", "5"]):
+        code = main(
+            command + ["--edges", str(edges), "--n-nodes", "0"]
+            + ["--out", str(tmp_path / "o"), "--seed", "1"]
+        )
+        assert code == 3, command
+        assert "need at least one node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command", [["sample"], ["test", "--statistic", "reciprocity"]], ids=["sample", "test"]
 )
 def test_zero_draws_exit_with_code_3(tmp_path, capsys, command):

@@ -17,17 +17,17 @@ from scipy import stats as sps
 import netformtest as nt
 from netformtest.graphs import cross_link_matrix, transitivity_index
 from netformtest.model import (
-    _SPEC_BUILDERS,
+    _SPECS,
     _free_information,
     _null_gradient,
     draw_logistic_shocks,
     logistic_cdf,
-    reciprocity_spec,
     systematic_utility,
 )
 
 from _fixtures import (
     PAIR_TERMS,
+    TERM_BOUNDS,
     is_equilibrium,
     pair_term,
     random_delta,
@@ -166,7 +166,7 @@ def test_customer_product_multiplies_out_degrees():
 
 
 def test_pair_oracle_covers_every_built_in_term():
-    assert set(PAIR_TERMS) == set(_SPEC_BUILDERS)
+    assert set(PAIR_TERMS) == set(_SPECS)
 
 
 def test_pair_and_matrix_forms_agree():
@@ -176,7 +176,7 @@ def test_pair_and_matrix_forms_agree():
         d = random_digraph(n, 0.4, rng)
         a = d.to_array()
         for kind in ("reciprocity", "transitivity", "customer_product"):
-            spec = nt.strategic_spec(kind, n)
+            spec = nt.strategic_spec(kind)
             s = spec.matrix_fn(a)
             for i in range(n):
                 for j in range(n):
@@ -188,7 +188,7 @@ def test_pair_and_matrix_forms_agree():
     a = 1 - np.eye(n, dtype=np.uint8)
     a64 = a.astype(np.int64)
     two_paths = a64 @ a64
-    s = nt.strategic_spec("transitivity", n).matrix_fn(a)
+    s = nt.strategic_spec("transitivity").matrix_fn(a)
     assert np.array_equal(s, two_paths)
     n_paths = int(two_paths.sum() - np.trace(two_paths))
     n_closed = int((two_paths * a64).sum())
@@ -218,20 +218,20 @@ def test_strategic_terms_respect_declared_bounds():
         n = rng.randrange(3, 8)
         d = random_digraph(n, 0.5, rng)
         for kind in ("reciprocity", "transitivity", "customer_product"):
-            spec = nt.strategic_spec(kind, n)
+            spec = nt.strategic_spec(kind)
             assert spec.monotone
             s = spec.matrix_fn(d.to_array())
             off = ~np.eye(n, dtype=bool)
-            assert s[off].min() >= spec.s_min
-            assert s[off].max() <= spec.s_max
+            s_min, s_max = TERM_BOUNDS[kind](n)
+            assert s[off].min() >= s_min
+            assert s[off].max() <= s_max
 
 
 def test_strategic_spec_lookup():
-    assert nt.strategic_spec("reciprocity", 9).kind == "reciprocity"
-    assert nt.strategic_spec("transitivity", 9).s_max == 7
-    assert nt.strategic_spec("customer_product", 9).kind == "customer_product"
+    assert nt.strategic_spec("reciprocity").kind == "reciprocity"
+    assert nt.strategic_spec("customer_product").kind == "customer_product"
     with pytest.raises(ValueError, match="reciprocity"):
-        nt.strategic_spec("nonsense", 9)
+        nt.strategic_spec("nonsense")
 
 
 # -- null log-likelihood ------------------------------------------------------------
@@ -549,7 +549,7 @@ def test_zero_interaction_reproduces_the_null_simulator_exactly():
         shocks = draw_logistic_shocks(np.random.default_rng(trial), n)
         base = nt.simulate_null(delta, g, shocks=shocks)
         for kind in ("reciprocity", "transitivity", "customer_product"):
-            spec = nt.strategic_spec(kind, n)
+            spec = nt.strategic_spec(kind)
             alt = nt.simulate_alternative(delta, 0.0, spec, g, shocks=shocks)
             assert alt.key() == base.key()
 
@@ -563,7 +563,7 @@ def test_positive_interaction_output_is_an_equilibrium_superset_of_null():
         delta = random_delta(n, K, rng)
         gamma = rng.choice([0.1, 0.5, 2.0])
         kind = rng.choice(["reciprocity", "transitivity", "customer_product"])
-        spec = nt.strategic_spec(kind, n)
+        spec = nt.strategic_spec(kind)
         shocks = draw_logistic_shocks(np.random.default_rng(100 + trial), n)
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
         assert is_equilibrium(d, delta, gamma, spec, g, shocks)
@@ -575,7 +575,7 @@ def test_equilibrium_check_fails_after_tampering():
     n = 6
     g = nt.GroupAssignment.single_group(n)
     delta = nt.NuisanceParams(np.zeros(n), np.zeros(n), np.zeros((1, 1)))
-    spec = reciprocity_spec()
+    spec = nt.strategic_spec("reciprocity")
     shocks = draw_logistic_shocks(np.random.default_rng(23), n)
     d = nt.simulate_alternative(delta, 0.7, spec, g, shocks=shocks)
     assert is_equilibrium(d, delta, 0.7, spec, g, shocks)
@@ -590,7 +590,9 @@ def test_negative_interaction_can_cycle_without_an_equilibrium():
     g = nt.GroupAssignment.single_group(2)
     shocks = np.array([[0.0, -0.5], [-0.5, 0.0]])
     with pytest.raises(ValueError, match="cycled"):
-        nt.simulate_alternative(delta, -1.0, reciprocity_spec(), g, shocks=shocks)
+        nt.simulate_alternative(
+            delta, -1.0, nt.strategic_spec("reciprocity"), g, shocks=shocks
+        )
 
 
 def test_negative_interaction_converges_when_a_fixed_point_exists():
@@ -600,13 +602,25 @@ def test_negative_interaction_converges_when_a_fixed_point_exists():
         [[0.0, -3.0, 4.0], [4.0, 0.0, -3.0], [4.0, 4.0, 0.0]]
     )
     # arcs 0->1 and 1->2 are on even against reciprocation, everything else off
-    d = nt.simulate_alternative(delta, -1.0, reciprocity_spec(), g, shocks=shocks)
-    assert is_equilibrium(d, delta, -1.0, reciprocity_spec(), g, shocks)
+    spec = nt.strategic_spec("reciprocity")
+    d = nt.simulate_alternative(delta, -1.0, spec, g, shocks=shocks)
+    assert is_equilibrium(d, delta, -1.0, spec, g, shocks)
     assert sorted(d.arcs()) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_simulate_alternative_refuses_a_non_finite_gamma(gamma):
+    delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
+    g = nt.GroupAssignment.single_group(3)
+    shocks = draw_logistic_shocks(np.random.default_rng(29), 3)
+    for kind in ("reciprocity", "transitivity", "customer_product"):
+        spec = nt.strategic_spec(kind)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
 
 
 def test_simulate_alternative_needs_a_randomness_source():
     delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
     g = nt.GroupAssignment.single_group(3)
     with pytest.raises(ValueError, match="rng"):
-        nt.simulate_alternative(delta, 0.5, reciprocity_spec(), g)
+        nt.simulate_alternative(delta, 0.5, nt.strategic_spec("reciprocity"), g)

@@ -23,7 +23,7 @@ from netformtest.graphs import (
     reciprocity_index,
     transitivity_index,
 )
-from netformtest.model import reciprocity_spec, systematic_utility, transitivity_spec
+from netformtest.model import systematic_utility
 from netformtest.sampler import ChainConfig
 from netformtest.testing import (
     _NS_PILOT,
@@ -48,6 +48,7 @@ from _fixtures import (
     random_digraph,
     random_groups,
     simulate_uniform_ne_dyad,
+    TERM_BOUNDS,
     theorem2_derivative,
 )
 
@@ -85,7 +86,7 @@ def test_locally_best_statistic_matches_naive_recount():
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng)
         for kind in ("reciprocity", "transitivity", "customer_product"):
-            spec = nt.strategic_spec(kind, n)
+            spec = nt.strategic_spec(kind)
             assert nt.locally_best_statistic(d, delta, spec, g) == pytest.approx(
                 naive_locally_best(d, delta, spec, g), abs=1e-10
             )
@@ -100,10 +101,30 @@ def test_locally_best_equals_equilibrium_derivative_route():
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng)
         kind = rng.choice(["reciprocity", "transitivity", "customer_product"])
-        spec = nt.strategic_spec(kind, n)
+        spec = nt.strategic_spec(kind)
         lhs = nt.locally_best_statistic(d, delta, spec, g)
         rhs = theorem2_derivative(d, delta, spec, g)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def test_score_does_not_depend_on_the_term_bounds(monkeypatch):
+    # The range bounds enter the two-case route only to cancel in its total:
+    # widening them for every term leaves the derivative equal to the score.
+    for kind in TERM_BOUNDS:
+        monkeypatch.setitem(TERM_BOUNDS, kind, lambda n: (-3, 1000))
+    rng = random.Random(43)
+    worst = 0.0
+    for _ in range(50):
+        n = rng.randrange(3, 11)
+        K = rng.choice([1, 2, 3])
+        g = random_groups(n, K, rng)
+        delta = random_delta(n, K, rng)
+        d = random_digraph(n, 0.4, rng)
+        spec = nt.strategic_spec(rng.choice(list(TERM_BOUNDS)))
+        a = nt.locally_best_statistic(d, delta, spec, g)
+        b = theorem2_derivative(d, delta, spec, g)
+        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
+    assert worst <= 1e-10, f"worst scaled deviation {worst:.2e}"
 
 
 def test_locally_best_reciprocity_hand_value():
@@ -112,7 +133,7 @@ def test_locally_best_reciprocity_hand_value():
     g = nt.GroupAssignment.single_group(2)
     # s_01 = 0 (no return arc), s_10 = 1; only the absent arc 1->0 contributes
     assert nt.locally_best_statistic(
-        d, delta, reciprocity_spec(), g
+        d, delta, nt.strategic_spec("reciprocity"), g
     ) == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -121,7 +142,7 @@ def test_locally_best_depends_only_on_systematic_utility():
     d = random_digraph(6, 0.5, rng)
     g = random_groups(6, 2, rng)
     delta = random_delta(6, 2, rng)
-    spec = transitivity_spec(6)
+    spec = nt.strategic_spec("transitivity")
     base = nt.locally_best_statistic(d, delta, spec, g)
     shifted = nt.NuisanceParams(delta.sender + 2.3, delta.receiver - 2.3, delta.mixing)
     assert nt.locally_best_statistic(d, shifted, spec, g) == pytest.approx(
@@ -221,7 +242,7 @@ def test_uniform_selection_simulation_matches_exact_dyad_probabilities():
 def test_score_is_the_likelihood_derivative_through_zero():
     rng = random.Random(29)
     h = 1e-5
-    spec = reciprocity_spec()
+    spec = nt.strategic_spec("reciprocity")
     for _ in range(8):
         n = rng.choice([2, 3])
         g = random_groups(n, rng.choice([1, 2]), rng)
@@ -264,6 +285,9 @@ def test_statistic_spec_validation():
         nt.TestStatisticSpec(kind="locally_best", strategic="bogus")
     spec = nt.TestStatisticSpec(kind="transitivity_index")
     assert spec.delta is None
+    delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="delta_source='provided'"):
+        nt.TestStatisticSpec("locally_best", "transitivity", "fitted", delta)
 
 
 _DELTA12 = nt.NuisanceParams(
@@ -293,7 +317,7 @@ def test_resolved_statistics_pickle_to_the_same_function(stat):
         assert clone(network) == statistic(network)
     if stat.kind == "locally_best":
         delta = stat.delta if stat.delta is not None else nt.mle_null(d, g)
-        spec = nt.strategic_spec(stat.strategic, 12)
+        spec = nt.strategic_spec(stat.strategic)
         assert statistic(other) == nt.locally_best_statistic(other, delta, spec, g)
 
 
@@ -301,7 +325,7 @@ def test_resolved_statistics_pickle_to_the_same_function(stat):
 def test_a_resolved_score_looks_up_no_term_per_draw(monkeypatch, term):
     d, g = fittable_network()
     statistic = nt.TestStatisticSpec("locally_best", term).resolve(d, g)
-    expected = nt.locally_best_statistic(d, nt.mle_null(d, g), nt.strategic_spec(term, 12), g)
+    expected = nt.locally_best_statistic(d, nt.mle_null(d, g), nt.strategic_spec(term), g)
 
     def refuse(*args, **kwargs):
         raise AssertionError("strategic_spec called after resolve")
@@ -482,7 +506,7 @@ def test_fitted_statistic_uses_one_mle_for_all_draws():
         n_draws=50, cfg=ChainConfig(tau=50, q=0.5), seed=59,
     )
     delta = nt.mle_null(d, g)
-    spec = transitivity_spec(9)
+    spec = nt.strategic_spec("transitivity")
     assert res.observed == pytest.approx(
         nt.locally_best_statistic(d, delta, spec, g), abs=1e-9
     )
@@ -502,7 +526,8 @@ def test_provided_delta_is_used_verbatim():
     )
     res = nt.conditional_p_value(d, g, stat, reference="enumerated")
     assert res.observed == pytest.approx(
-        nt.locally_best_statistic(d, delta, reciprocity_spec(), g), abs=1e-12
+        nt.locally_best_statistic(d, delta, nt.strategic_spec("reciprocity"), g),
+        abs=1e-12,
     )
 
 
@@ -617,7 +642,7 @@ def test_critical_values_make_exact_size_on_the_reference_set():
         delta_source="provided",
         delta=delta,
     )
-    spec = transitivity_spec(4)
+    spec = nt.strategic_spec("transitivity")
     values = [nt.locally_best_statistic(m, delta, spec, g) for m in members]
     for alpha in (0.05, 0.1, 1 / 3, 0.5, 0.9):
         cv = nt.exact_conditional_critical_values(d, g, stat, alpha)

@@ -52,6 +52,16 @@ def commands() -> list[tuple[str, list[str]]]:
             "simulate_alternative",
             ["simulate", "--params", "runs/fit/params.json", "--gamma", "0.2"],
         ),
+        (
+            "simulate_alternative_reciprocity",
+            ["simulate", "--params", "runs/fit/params.json", "--gamma", "0.2",
+             "--spec", "reciprocity"],
+        ),
+        (
+            "simulate_alternative_customer-product",
+            ["simulate", "--params", "runs/fit/params.json", "--gamma", "0.2",
+             "--spec", "customer-product"],
+        ),
         ("sample_groups", ["sample", *NET, *CHAIN]),
         ("sample_one_group", ["sample", "--edges", "inputs/edges.csv", "--draws", "20"]),
         (
@@ -110,6 +120,12 @@ def commands() -> list[tuple[str, list[str]]]:
             ["mc-experiment", "--n-nodes", "5", "--n-reps", "4", "--gammas", "0,0.3",
              "--statistics", "transitivity_index,reciprocity_index",
              "--reference", "enumerated"],
+        )
+    )
+    cmds.append(
+        (
+            "mc_customer-product",
+            ["mc-experiment", *EXPERIMENT, "--spec", "customer-product"],
         )
     )
     cmds.append(
