@@ -164,6 +164,8 @@ def _load_network(args, ctx: _RunContext) -> tuple[AdjacencyMatrix, GroupAssignm
     edges = read_edge_csv(ctx.track(args.edges), base)
     if args.nodes:
         n, g = read_node_csv(ctx.track(args.nodes), base)
+        if args.n_nodes is not None and args.n_nodes != n:
+            raise DataError(f"--n-nodes {args.n_nodes} disagrees with the {n} nodes of --nodes")
         return from_edge_list(edges, n), g
     if args.n_nodes is not None:
         n = args.n_nodes
@@ -466,7 +468,8 @@ def _add_network_inputs(p: argparse.ArgumentParser, nodes_help: str) -> None:
         "--n-nodes",
         type=int,
         default=None,
-        help="node count when --nodes is absent (default: max id + 1)",
+        help="node count when --nodes is absent (default: max id + 1); "
+        "beside --nodes it must match the node file",
     )
     p.add_argument(
         "--index-base",

@@ -181,6 +181,15 @@ class AdjacencyMatrix:
         )
         return np.ascontiguousarray(bits[:, :n])
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """``np.asarray(d)``: the dense uint8 array of :meth:`to_array`, so a
+        function of a network takes an ``AdjacencyMatrix`` or an array alike.
+        The array is always a fresh copy, so ``copy=False`` is refused."""
+        if copy is False:
+            raise ValueError("an AdjacencyMatrix converts to an array only by copying")
+        a = self.to_array()
+        return a if dtype is None else a.astype(dtype, copy=False)
+
     def key(self) -> tuple[int, ...]:
         """Hashable state snapshot (use as a dict key for visited states)."""
         return tuple(self.rows)
@@ -350,29 +359,34 @@ def dyad_census(d: AdjacencyMatrix) -> DyadCensus:
     return DyadCensus(mutual, asym, n_dyads - mutual - asym)
 
 
-def reciprocity_index(d: AdjacencyMatrix) -> float:
+def reciprocity_index(d) -> float:
     """Share of arc-carrying dyad ends that are reciprocated.
 
     Equals 2*m / (2*m + a) where m and a are mutual and asymmetric dyad
-    counts; the empty graph has no arc-carrying dyads and returns NaN.
+    counts, that is 2*m over the arc count; the empty graph has no
+    arc-carrying dyads and returns NaN.  ``d`` is an ``AdjacencyMatrix`` or a
+    dense 0/1 integer array.
     """
-    census = dyad_census(d)
-    denom = 2 * census.mutual + census.asymmetric
-    if denom == 0:
+    a = np.asarray(d)
+    n_arcs = int(a.sum())
+    if n_arcs == 0:
         return float("nan")
-    return 2 * census.mutual / denom
+    # a & a.T marks both ends of each mutual dyad.
+    mutual = int((a & a.T).sum()) // 2
+    return 2 * mutual / n_arcs
 
 
-def transitivity_index(d: AdjacencyMatrix) -> float:
+def transitivity_index(d) -> float:
     """Closed two-path ratio: P(i->j | i->k->j exists, i, j, k distinct).
 
     Counts directed two-paths i->k->j with i != j and returns the fraction
     whose closing arc i->j is present.  Returns NaN when the graph has no
-    such two-path (the ratio is undefined).
+    such two-path (the ratio is undefined).  ``d`` is an ``AdjacencyMatrix``
+    or a dense 0/1 array.
     """
     # float64 runs the product in BLAS and is exact: every count is at most
     # n - 2, and every sum at most n**3, far below 2**53.
-    a = d.to_array().astype(np.float64)
+    a = np.asarray(d).astype(np.float64)
     two_paths = a @ a
     n_paths = int(two_paths.sum() - np.trace(two_paths))
     if n_paths == 0:

@@ -142,7 +142,12 @@ class StrategicSpec:
 
     The values of ``matrix_fn`` are integers, but not always of an integer
     dtype: transitivity returns float64 so that its matrix product runs in
-    BLAS, and that is exact while the counts stay below 2**53.
+    BLAS, and that is exact while the counts stay below 2**53.  The dtype is
+    part of every result, not only the values: under NumPy 2 promotion a
+    float32 ``s`` makes ``gamma * s`` in :func:`simulate_alternative`
+    float32, which can move an arc whose utility lies near its shock.  So
+    changing a built-in ``matrix_fn``'s dtype changes results, even where
+    its values stay the same.
 
     A spec used with worker processes (``jobs`` > 1) needs a module-level
     ``matrix_fn``, as the built-in specs have: closures do not pickle.

@@ -87,15 +87,19 @@ def locally_best_statistic(
 
 def score_statistic(spec: StrategicSpec, delta: NuisanceParams, g: GroupAssignment):
     """The locally best score against ``spec`` under the null ``delta`` as a
-    function of the network, with the null link probabilities computed once;
-    it pickles when ``spec.matrix_fn`` does."""
-    return partial(_score, P=_link_probabilities(delta, g), matrix_fn=spec.matrix_fn)
+    function of the network, with the null link probabilities and the
+    off-diagonal mask computed once; it pickles when ``spec.matrix_fn``
+    does."""
+    P = _link_probabilities(delta, g)
+    off = ~np.eye(g.n_nodes, dtype=bool)
+    return partial(_score, P=P, off=off, matrix_fn=spec.matrix_fn)
 
 
-def _score(d: AdjacencyMatrix, P: np.ndarray, matrix_fn) -> float:
-    """sum over i != j of (d_ij - P_ij) * s_ij(d), with s from ``matrix_fn``."""
-    off = ~np.eye(d.n, dtype=bool)
-    dense = d.to_array()
+def _score(d, P: np.ndarray, off: np.ndarray, matrix_fn) -> float:
+    """sum over i != j of (d_ij - P_ij) * s_ij(d), with s from ``matrix_fn``;
+    ``d`` is an ``AdjacencyMatrix`` or a dense 0/1 array, ``off`` the
+    off-diagonal mask."""
+    dense = np.asarray(d)
     S = matrix_fn(dense)
     return float(((dense - P) * S)[off].sum())
 
@@ -112,7 +116,8 @@ class TestStatisticSpec:
     ("reciprocity", "transitivity", "customer_product").  ``delta_source``
     says where its nuisance parameters come from: "fitted" fits the null MLE
     on the observed network once (reference draws reuse it), "provided"
-    uses ``delta``, which is refused beside "fitted".
+    uses ``delta``, which is refused beside "fitted".  The index statistics
+    read no nuisance parameters, so they refuse "provided" and ``delta``.
     """
 
     kind: str
@@ -123,16 +128,22 @@ class TestStatisticSpec:
     def __post_init__(self):
         if self.kind != "locally_best" and self.kind not in INDEX_STATISTICS:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
-        if self.kind == "locally_best":
-            if self.strategic is None:
-                raise ValueError("locally_best needs a strategic term name")
-            strategic_spec(self.strategic)  # refuses an unknown name
-            if self.delta_source not in ("fitted", "provided"):
-                raise ValueError("delta_source must be 'fitted' or 'provided'")
-            if self.delta_source == "provided" and self.delta is None:
-                raise ValueError("delta_source='provided' requires delta")
-            if self.delta_source == "fitted" and self.delta is not None:
-                raise ValueError("delta is read only with delta_source='provided'")
+        if self.delta_source not in ("fitted", "provided"):
+            raise ValueError("delta_source must be 'fitted' or 'provided'")
+        if self.kind != "locally_best":
+            if self.delta_source == "provided" or self.delta is not None:
+                raise ValueError(
+                    f"{self.kind} reads no nuisance parameters: delta_source="
+                    "'provided' and delta are read only by locally_best"
+                )
+            return
+        if self.strategic is None:
+            raise ValueError("locally_best needs a strategic term name")
+        strategic_spec(self.strategic)  # refuses an unknown name
+        if self.delta_source == "provided" and self.delta is None:
+            raise ValueError("delta_source='provided' requires delta")
+        if self.delta_source == "fitted" and self.delta is not None:
+            raise ValueError("delta is read only with delta_source='provided'")
 
     def resolve(self, d: AdjacencyMatrix, g: GroupAssignment):
         """The statistic for the observed network ``d`` (fits the MLE if asked),
@@ -191,15 +202,18 @@ def decided_at(alpha: float, observed, n_draws: int):
 # -- reference draws -----------------------------------------------------------
 
 
-def _density_only_draw(n: int, n_arcs: int, gen: np.random.Generator) -> AdjacencyMatrix:
-    """A uniform digraph with ``n_arcs`` arcs: the numpy Generator ``gen``
-    picks that many distinct off-diagonal positions, numbered row by row, as
-    an exactly uniform subset (integer draws, no ranking of float keys)."""
+def _density_only_draw(n: int, n_arcs: int, gen: np.random.Generator) -> np.ndarray:
+    """A uniform digraph with ``n_arcs`` arcs, as a dense n x n uint8 array:
+    the numpy Generator ``gen`` picks that many distinct off-diagonal
+    positions, numbered row by row, as an exactly uniform subset (integer
+    draws, no ranking of float keys)."""
     positions = gen.choice(n * (n - 1), n_arcs, replace=False, shuffle=False)
-    i, rem = np.divmod(positions, n - 1)
-    dense = np.zeros((n, n), dtype=np.uint8)
-    dense[i, rem + (rem >= i)] = 1
-    return AdjacencyMatrix.from_dense(dense)
+    # Position p lies in row i = p // (n - 1), at column p - i(n - 1), moved
+    # one right past the diagonal when p >= i * n: flat index p + i (+ 1).
+    i = positions // (n - 1)
+    dense = np.zeros(n * n, dtype=np.uint8)
+    dense[positions + i + (positions >= i * n)] = 1
+    return dense.reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +228,12 @@ class ReferenceDraws:
     grouping the chain preserves, and None for "density_only".  For "enumerated" the
     draws are ``members``: the whole reference set minus the observed
     network.  Build it with :func:`reference_draws`.
+
+    :meth:`draw` returns draw b as an ``AdjacencyMatrix``.  :meth:`values`
+    hands the statistics each draw as one dense uint8 array instead, made
+    once per draw and read by every statistic: a density draw is built only
+    as that array, a chain draw or enumerated member is unpacked once with
+    ``to_array``.
     """
 
     observed: AdjacencyMatrix
@@ -228,11 +248,18 @@ class ReferenceDraws:
         """Draw b; a chain draw adds its step tallies to ``stats``."""
         if self.reference == "enumerated":
             return self.members[b]
-        if self.cfg is None:
-            gen = substream_generator(self.seed, _NS_DRAW, b)
-            return _density_only_draw(self.observed.n, self.observed.arc_count(), gen)
+        if self.reference == "density_only":
+            return AdjacencyMatrix.from_dense(self._array(b, stats))
         rng = substream_random(self.seed, _NS_DRAW, b)
         return markov_draw(self.observed, self.g, self.cfg, rng, stats)
+
+    def _array(self, b: int, stats: ChainStats) -> np.ndarray:
+        """Draw b as the dense uint8 array that every statistic reads: a
+        density draw is built only as this array."""
+        if self.reference == "density_only":
+            gen = substream_generator(self.seed, _NS_DRAW, b)
+            return _density_only_draw(self.observed.n, self.observed.arc_count(), gen)
+        return self.draw(b, stats).to_array()
 
     def values(self, statistics, jobs: int = 1, stop=None) -> tuple[np.ndarray, ChainStats]:
         """Every statistic on every draw, as an (n_draws, len(statistics))
@@ -269,7 +296,7 @@ class ReferenceDraws:
         for b in range(lo, hi):
             if stop is not None and stop(rows):
                 break
-            draw = self.draw(b, stats)
+            draw = self._array(b, stats)
             rows.append([statistic(draw) for statistic in statistics])
         return rows, stats
 

@@ -603,6 +603,38 @@ def test_unread_network_inputs_exit_3(tmp_path, capsys, interior12):
         assert "need at least one node" in capsys.readouterr().err
 
 
+def test_node_count_beside_a_node_file_must_match_it(tmp_path, capsys, interior12):
+    _, _, edges, nodes = interior12
+    network = ["--edges", str(edges), "--nodes", str(nodes)]
+    for command in (["fit"], ["enumerate"], ["sample", "--draws", "5", "--tau", "5"],
+                    ["test", "--draws", "5", "--tau", "5"]):
+        code = main(
+            command + network + ["--n-nodes", "5", "--out", str(tmp_path / "o"), "--seed", "1"]
+        )
+        assert code == 3, command
+        assert "--n-nodes 5 disagrees with the 12 nodes of --nodes" in capsys.readouterr().err
+    out = tmp_path / "fit"
+    assert main(["fit", *network, "--n-nodes", "12", "--out", str(out), "--seed", "1"]) == 0
+    assert json.loads((out / "params.json").read_text())["n_nodes"] == 12
+
+
+@pytest.mark.parametrize("statistic", ["ti", "reciprocity"])
+def test_an_index_statistic_refuses_provided_parameters(tmp_path, capsys, interior12, statistic):
+    _, _, edges, nodes = interior12
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--edges", str(edges), "--nodes", str(nodes),
+                 "--out", str(fit_dir), "--seed", "1"]) == 0
+    capsys.readouterr()
+    code = main(
+        ["test", "--edges", str(edges), "--nodes", str(nodes), "--statistic", statistic]
+        + ["--delta-source", "provided", "--params", str(fit_dir / "params.json")]
+        + ["--draws", "5", "--tau", "5", "--out", str(tmp_path / "t"), "--seed", "1"]
+    )
+    assert code == 3
+    assert "reads no nuisance parameters" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "result.json").exists()
+
+
 @pytest.mark.parametrize(
     "command", [["sample"], ["test", "--statistic", "reciprocity"]], ids=["sample", "test"]
 )

@@ -98,6 +98,19 @@ def test_from_dense_rejects_malformed_arrays(array, message):
         nt.AdjacencyMatrix.from_dense(array)
 
 
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_asarray_is_a_fresh_copy_of_to_array(n):
+    d = random_digraph(n, 0.4, random.Random(n))
+    a = np.asarray(d)
+    assert a.dtype == np.uint8 and np.array_equal(a, d.to_array())
+    a[...] = 1
+    assert np.array_equal(np.asarray(d), d.to_array())
+    as_float = np.asarray(d, dtype=np.float64)
+    assert as_float.dtype == np.float64 and np.array_equal(as_float, d.to_array())
+    with pytest.raises(ValueError, match="only by copying"):
+        np.array(d, copy=False)
+
+
 def test_switch_arc_is_involution():
     d = nt.AdjacencyMatrix.zeros(4)
     d.add_arc(0, 2)
@@ -182,6 +195,18 @@ def test_reciprocity_mixed_dyads():
         [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3), (3, 0)], 4
     )
     assert reciprocity_index(d) == pytest.approx(4 / 7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 64, 65])
+def test_reciprocity_index_is_the_dyad_census_ratio(n):
+    rng = random.Random(n)
+    for d in [random_digraph(n, p, rng) for p in (0.1, 0.5, 0.9)]:
+        census = dyad_census(d)
+        denom = 2 * census.mutual + census.asymmetric
+        if denom:
+            assert reciprocity_index(d) == 2 * census.mutual / denom
+        else:
+            assert math.isnan(reciprocity_index(d))
 
 
 def test_reciprocity_undefined_on_empty():

@@ -24,7 +24,7 @@ from netformtest.graphs import (
     transitivity_index,
 )
 from netformtest.model import systematic_utility
-from netformtest.sampler import ChainConfig
+from netformtest.sampler import ChainConfig, ChainStats
 from netformtest.testing import (
     _NS_PILOT,
     REFERENCES,
@@ -290,6 +290,16 @@ def test_statistic_spec_validation():
         nt.TestStatisticSpec("locally_best", "transitivity", "fitted", delta)
 
 
+@pytest.mark.parametrize("kind", ["transitivity_index", "reciprocity_index"])
+def test_an_index_statistic_refuses_nuisance_parameters(kind):
+    delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
+    for source, given in (("provided", None), ("provided", delta), ("fitted", delta)):
+        with pytest.raises(ValueError, match="reads no nuisance parameters"):
+            nt.TestStatisticSpec(kind, delta_source=source, delta=given)
+    with pytest.raises(ValueError, match="delta_source must be"):
+        nt.TestStatisticSpec(kind, delta_source="guess")
+
+
 _DELTA12 = nt.NuisanceParams(
     np.linspace(-1.0, 1.0, 12),
     np.linspace(0.5, -0.5, 12),
@@ -336,6 +346,45 @@ def test_a_resolved_score_looks_up_no_term_per_draw(monkeypatch, term):
     draws = reference_draws(d, g, "degree_and_crosslink", 3, ChainConfig(tau=20, q=0.5), seed=7)
     values, _ = draws.values([statistic])
     assert values.shape == (3, 1) and np.isfinite(values).all()
+
+
+def _built_in_statistics(n, rng):
+    """Every built-in statistic for networks on n nodes, by name."""
+    g = random_groups(n, min(n, 2), rng)
+    delta = random_delta(n, g.n_groups, rng)
+    statistics = dict(testing.INDEX_STATISTICS)
+    for term in ("reciprocity", "transitivity", "customer_product"):
+        statistics[term] = testing.score_statistic(nt.strategic_spec(term), delta, g)
+    return statistics
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 65])
+def test_every_statistic_reads_a_network_and_its_array_alike(n):
+    rng = random.Random(83 + n)
+    for d in (random_digraph(n, 0.4, rng), nt.AdjacencyMatrix(n)):
+        for name, statistic in _built_in_statistics(n, rng).items():
+            on_network, on_array = statistic(d), statistic(d.to_array())
+            assert type(on_network) is type(on_array) is float, name
+            assert _same_float(on_network, on_array), (name, on_network, on_array)
+            if d.arc_count() == 0 and name in testing.INDEX_STATISTICS:
+                assert math.isnan(on_network), name
+
+
+def test_density_reference_values_are_the_statistics_of_its_draws():
+    d, g = fittable_network()
+    statistics = list(_built_in_statistics(d.n, random.Random(89)).values())
+    draws = reference_draws(d, g, "density_only", 25, seed=97)
+    values, _ = draws.values(statistics)
+    assert values.shape == (25, len(statistics))
+    for b in range(25):
+        draw = draws.draw(b, ChainStats())
+        assert draw.arc_count() == d.arc_count()
+        for k, statistic in enumerate(statistics):
+            assert _same_float(values[b, k], statistic(draw)), (b, k)
 
 
 # -- conditional p-values -----------------------------------------------------------
@@ -563,7 +612,9 @@ def test_density_only_reference_fixes_exactly_the_arc_count():
     d = random_digraph(8, 0.4, rng)
     saw_other_degrees = False
     for b in range(60):
-        draw = _density_only_draw(8, d.arc_count(), substream_generator(71, 0, b))
+        draw = nt.AdjacencyMatrix.from_dense(
+            _density_only_draw(8, d.arc_count(), substream_generator(71, 0, b))
+        )
         assert draw.arc_count() == d.arc_count()
         assert not any(draw.has_arc(i, i) for i in range(8))
         if draw.out_degrees() != d.out_degrees():
@@ -578,7 +629,7 @@ def test_density_only_draw_matches_the_arc_by_arc_oracle(n):
         gen, oracle_gen = np.random.default_rng(n_arcs), np.random.default_rng(n_arcs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draw = _density_only_draw(n, n_arcs, gen)
+            draw = nt.AdjacencyMatrix.from_dense(_density_only_draw(n, n_arcs, gen))
         expected = density_draw_oracle(n, n_arcs, oracle_gen)
         assert draw.rows == expected.rows
         assert draw.cols == expected.cols
@@ -591,7 +642,9 @@ def test_density_only_draws_are_uniform_over_arc_placements():
     n, n_arcs, n_draws = 3, 2, 15000
     counts = {}
     for b in range(n_draws):
-        draw = _density_only_draw(n, n_arcs, substream_generator(73, 0, b))
+        draw = nt.AdjacencyMatrix.from_dense(
+            _density_only_draw(n, n_arcs, substream_generator(73, 0, b))
+        )
         counts[tuple(sorted(draw.arcs()))] = counts.get(tuple(sorted(draw.arcs())), 0) + 1
     assert len(counts) == 15  # C(6, 2) possible placements
     expected = n_draws / 15

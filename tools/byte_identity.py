@@ -100,6 +100,14 @@ def commands() -> list[tuple[str, list[str]]]:
             ["test", *NET, "--draws", "20", "--q", "0.2", "--tau-auto", "2", "--jobs", "2"],
         ),
         ("test_enumerated", ["test", *TINY, "--statistic", "ti", "--reference", "enumerated"]),
+        (
+            "test_enumerated_reciprocity",
+            ["test", *TINY, "--statistic", "reciprocity", "--reference", "enumerated"],
+        ),
+        (
+            "test_enumerated_locally-best",
+            ["test", *TINY, "--statistic", "locally-best", "--reference", "enumerated"],
+        ),
         ("test_zero_draws", ["test", *NET, "--draws", "0", "--tau", "5"]),
     ]
     for reference, jobs in (
