@@ -298,9 +298,12 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
             g = g_params
     elif args.params:
         raise DataError("--params is read only with --delta-source provided")
+    spec = args.spec
+    if spec is None and kind == "locally_best":
+        spec = "transitivity"
     stat = TestStatisticSpec(
         kind=kind,
-        strategic=_SPEC_OF[args.spec] if kind == "locally_best" else None,
+        strategic=_SPEC_OF[spec] if spec is not None else None,
         delta_source=args.delta_source,
         delta=delta,
     )
@@ -542,9 +545,9 @@ def get_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--spec",
-        default="transitivity",
+        default=None,
         choices=sorted(_SPEC_OF),
-        help="interaction term for the locally-best statistic",
+        help="interaction term for the locally-best statistic (default transitivity)",
     )
     p.add_argument(
         "--delta-source",

@@ -339,14 +339,14 @@ def cross_link_matrix(d: AdjacencyMatrix, g: GroupAssignment) -> CrossLinkMatrix
     """Count arcs from each group to each group (diagonal blocks included)."""
     if g.n_nodes != d.n:
         raise ValueError("group assignment does not match node count")
-    K = g.n_groups
+    rows = d.rows
     masks = g.masks
-    counts = [[0] * K for _ in range(K)]
-    for i, row in enumerate(d.rows):
-        crow = counts[g.codes[i]]
-        for l in range(K):
-            crow[l] += (row & masks[l]).bit_count()
-    return CrossLinkMatrix(tuple(tuple(r) for r in counts))
+    return CrossLinkMatrix(
+        tuple(
+            tuple(sum([(rows[i] & mask).bit_count() for i in group]) for mask in masks)
+            for group in g.members
+        )
+    )
 
 
 def dyad_census(d: AdjacencyMatrix) -> DyadCensus:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -268,7 +269,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int, jobs: int = 1) -> PowerTabl
 
     Every cell derives its own substreams from (seed, namespace, gamma index,
     replication index), so the table is reproducible and independent of
-    ``jobs``.
+    ``jobs``.  A gamma whose every replication failed warns, since its rows
+    hold no rejection rate.
     """
     gamma_indices = [gi for gi in range(len(cfg.gammas)) for _ in range(cfg.n_reps)]
     reps = list(range(cfg.n_reps)) * len(cfg.gammas)
@@ -287,6 +289,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, jobs: int = 1) -> PowerTabl
         cell = [o for gi, o in zip(gamma_indices, outcomes) if gi == gamma_index]
         failures = sum(1 for o in cell if o is None)
         used = len(cell) - failures
+        if not used:
+            warnings.warn(
+                f"gamma = {gamma!r}: all {failures} replication(s) failed (separated "
+                "fit or frozen chain), so the rejection rates of "
+                f"{', '.join(cfg.statistics)} are undefined",
+                stacklevel=2,
+            )
         for name in cfg.statistics:
             rejections = sum(1 for o in cell if o is not None and o[name])
             rate = rejections / used if used else float("nan")

@@ -2,31 +2,40 @@
 
 The reference set conditions on every node's out- and in-degree plus the K x K
 matrix of arc counts between groups.  A Markov chain moves between such
-digraphs in two kinds of step.  With probability ``q`` a step is a
-*same-group trade* (Strona et al. 2014, Curveball; Carstens, Berger & Strona
-2016 for digraphs): two nodes i and j of one group pool the nodes that exactly
-one of them links to (or is linked from), and i takes a uniform random subset
-of the pool of the size it held, j the rest.  Otherwise the step switches
-*alternating cycles*: closed walks whose arcs alternate present/absent and all
-point into every second node, so that flipping all of them preserves each
-node's degrees.  A move attempt strings together alternating walks
-("schlaufen") until the group-level arc-count changes cancel to zero, at which
-point all recorded cycles are switched at once; otherwise a fair coin decides
-between extending the attempt and abandoning it.  Traversed links stay marked
-for the whole attempt, which makes the walks within one attempt link-disjoint
-and the cycle kernel symmetric.
+digraphs in two kinds of step.  With probability ``q`` a step is a *global
+same-group trade* (Strona et al. 2014, Curveball; Carstens, Berger & Strona
+2016 for digraphs; Carstens et al. 2018 for global trades): one side, out-sets
+(rows) or in-sets (columns), is drawn for the whole step, every group's
+members are paired by a uniform random matching (an odd member sits out), and
+every pair i, j pools the nodes that exactly one of them links to (or is
+linked from); i takes a uniform random subset of the pool of the size it
+held, j the rest.  Otherwise the step switches *alternating cycles*: closed
+walks whose arcs alternate present/absent and all point into every second
+node, so that flipping all of them preserves each node's degrees.  A move
+attempt strings together alternating walks ("schlaufen") until the
+group-level arc-count changes cancel to zero, at which point all recorded
+cycles are switched at once; otherwise a fair coin decides between extending
+the attempt and abandoning it.  Traversed links stay marked for the whole
+attempt, which makes the walks within one attempt link-disjoint and the cycle
+kernel symmetric.
 
-For fixed (i, j, side) a trade resamples uniformly within the networks that
-differ only in how the pool is split, so it is an orthogonal projection in
-L2(uniform), and the trade kernel, their average, is symmetric with spectrum
-in [0, 1].  The chain's kernel q * trade + (1 - q) * cycle is therefore
+For a fixed side and pair, a pair's trade resamples uniformly within the
+networks that differ only in how its pool is split, so it is an orthogonal
+projection in L2(uniform).  The pairs of one matching act on disjoint rows (or
+columns), and a pair's pool reads only its own two, so their projections
+commute and their product, the trade for a fixed side and matching, is itself
+a projection.  The side and the matching do not depend on the network, so the
+trade kernel, the average of these projections, is symmetric with spectrum in
+[0, 1].  The chain's kernel q * trade + (1 - q) * cycle is therefore
 symmetric, so its stationary distribution is uniform on the reference set with
 no acceptance-probability correction; it is irreducible through the cycle
 moves, and aperiodic since a trade can leave the network as it is.  It is
 also below q * I + (1 - q) * cycle, the chain whose q-steps do nothing, in the
 positive semidefinite order, so no statistic's asymptotic variance per step
 is larger than under that lazy chain (Peskun-Tierney ordering; Mira 2001,
-*Stat. Sci.* 16:340).
+*Stat. Sci.* 16:340).  Trades alone are not irreducible: on the directed
+3-cycle no matching moves anything, though the reversed cycle has the same
+margins.
 
 Walk mechanics (0-based positions): even positions are *active*, odd positions
 *passive*.  The step leaving an even position follows a present, unmarked arc
@@ -36,21 +45,22 @@ passive node.  A walk closes a cycle when it revisits a node in the same role;
 dead ends (no feasible continuation) end the walk with no cycle.  A draw keeps,
 beside the row and column bitmasks, each node's sorted out-neighbours and
 sorted non-in-neighbours (every k != j whose arc k -> j is absent), updated
-with every switched arc.  An active step from i whose present arcs carry no
-mark, or a passive step at j whose absent in-arcs carry none, reads its choice
-from that list; any other step takes it from the bitmask of unmarked
-candidates.  Every step of an attempt's first walk is of the first kind,
-since revisiting a node in the same role closes the walk.  A single
+with every switched or traded arc.  An active step from i whose present arcs
+carry no mark, or a passive step at j whose absent in-arcs carry none, reads
+its choice from that list; any other step takes it from the bitmask of
+unmarked candidates.  Every step of an attempt's first walk is of the first
+kind, since revisiting a node in the same role closes the walk.  A single
 :func:`markov_step` builds no lists and takes every choice from the bitmasks.
 
 Random numbers: every chain function takes an explicit ``random.Random``.  The
-trade and extension coins use ``rng.random()``; every uniform choice of a walk
-(the start node and each step) and of a trade calls ``rng.getrandbits``
-exactly as ``rng.randrange`` would, so a seeded stream gives the same walks,
-trades, draws and tallies as a chain that calls ``randrange`` for each choice.
-A list and a bitmask hold the same candidates in the same increasing order, so
-a choice among c candidates draws the same bits and picks the same node either
-way.
+trade and extension coins use ``rng.random()`` and a trade's side one
+``rng.getrandbits(1)``; every other uniform choice of a walk (the start node
+and each step) and of a trade (the matching and each pool split) calls
+``rng.getrandbits`` exactly as ``rng.randrange`` would, so a seeded stream
+gives the same walks, trades, draws and tallies as a chain that calls
+``randrange`` for each choice.  A list and a bitmask hold the same
+candidates in the same increasing order, so a choice among c candidates draws
+the same bits and picks the same node either way.
 """
 
 from __future__ import annotations
@@ -90,12 +100,14 @@ class FrozenChainError(RuntimeError):
 class ChainConfig:
     """One walk of the chain: ``tau`` steps per draw, trade probability ``q``.
 
-    Each step is a same-group trade with probability ``q`` and a
+    Each step is a global same-group trade (every pair of a random
+    same-group matching trades on one side) with probability ``q`` and a
     cycle-switching attempt otherwise.  ``q = 0`` switches cycles only;
     ``q = 1`` is refused, since trades alone need not reach the whole
-    reference set (no trade turns a directed triangle into its reverse).
-    ``tau = None`` asks a pilot (:func:`mixing_time_heuristic`) for a walk
-    that modifies each arc about ``mixing_r`` times per draw.
+    reference set (no matching turns a directed triangle into its reverse).
+    ``tau = None`` asks a pilot (:func:`mixing_time_heuristic`; 300 steps at
+    the default q, 1000 at q = 0) for a walk that modifies each arc about
+    ``mixing_r`` times per draw.
     """
 
     tau: Optional[int] = None
@@ -122,8 +134,9 @@ class ChainConfig:
 
 
 class StepInfo(NamedTuple):
-    """Outcome of one chain step: kind is 'lazy' (a same-group trade, with
-    the arcs it moved in ``flips``), 'accepted' or 'abandoned'."""
+    """Outcome of one chain step: kind is 'lazy' (a global same-group trade,
+    with the arcs all its pairs moved in ``flips``), 'accepted' or
+    'abandoned'."""
 
     kind: str
     n_walks: int
@@ -134,10 +147,10 @@ class StepInfo(NamedTuple):
 class ChainStats:
     """Running tallies over chain steps, for mixing diagnostics.
 
-    ``lazy`` counts the trade steps.  ``flips`` counts arc modifications:
-    each arc a cycle switch adds or removes, and each arc a trade moves from
-    one node of its pair to the other (i -> k becoming j -> k, or k -> i
-    becoming k -> j).
+    ``lazy`` counts the trade steps, each a global trade over every matched
+    pair.  ``flips`` counts arc modifications: each arc a cycle switch adds
+    or removes, and each arc a trade moves from one node of a pair to the
+    other (i -> k becoming j -> k, or k -> i becoming k -> j).
     """
 
     steps: int = 0
@@ -335,10 +348,10 @@ def switch_cycle(d: AdjacencyMatrix, arcs: list[tuple[int, int, bool]]) -> None:
 
 
 def _attempt(d, codes, K, rng, outs=None, nonins=None):
-    """The non-lazy part of :func:`markov_step` on ``d``; returns (n_walks,
-    flips), with flips None when the attempt is abandoned.  The neighbour
-    lists, if given, are passed to :func:`_walk` and kept in step with every
-    switched arc.
+    """The cycle-switching part of :func:`markov_step` on ``d``; returns
+    (n_walks, flips), with flips None when the attempt is abandoned.  The
+    neighbour lists, if given, are passed to :func:`_walk` and kept in step
+    with every switched arc.
     """
     n = d.n
     rows, cols = d.rows, d.cols
@@ -380,16 +393,16 @@ def _attempt(d, codes, K, rng, outs=None, nonins=None):
             return n_walks, None
 
 
-def _trade(d, members, codes, rng, outs=None, nonins=None):
-    """One same-group trade on ``d``; returns the number of arcs it moves.
+def _pair_trade(side, other, i, j, by_column, getrandbits, nbytes, outs=None, nonins=None):
+    """Trade the pool of one pair i, j on one side; returns the arcs it moves.
 
-    Picks a node i uniformly, then j uniformly among the other members of
-    i's group (``members[codes[i]]``, sorted), then one bit: 0 trades the
-    out-sets of i and j (their rows), 1 their in-sets (their columns).  The
-    pool is the symmetric difference of the two sets, positions i and j left
-    out; every pool node is linked to exactly one of i and j.  i keeps as many
-    pool nodes as it had, now a uniform subset of that size, and j takes the
-    rest.  A singleton group or an empty pool leaves ``d`` unchanged.
+    ``side`` holds the sets being traded (``d.rows``, the out-sets, or
+    ``d.cols``, the in-sets, when ``by_column`` is set) and ``other`` the
+    bitmasks of the other orientation.  The pool is the symmetric difference
+    of the two sets, positions i and j left out; every pool node is linked to
+    exactly one of i and j.  i keeps as many pool nodes as it had, now a
+    uniform subset of that size, and j takes the rest.  An empty pool leaves
+    both sets unchanged.
 
     The subset is drawn by a partial Fisher-Yates shuffle of the pool nodes in
     increasing order: for t < s = min(a, p - a), with a the pool nodes i had
@@ -399,43 +412,16 @@ def _trade(d, members, codes, rng, outs=None, nonins=None):
     hands moves one arc, from i to j or back.  The neighbour lists, if given,
     are kept in step with every moved arc.
     """
-    n = d.n
-    getrandbits = rng.getrandbits
-    kbits = n.bit_length()
-    i = getrandbits(kbits)
-    while i >= n:
-        i = getrandbits(kbits)
-    group = members[codes[i]]
-    c = len(group) - 1
-    if not c:
-        return 0
-    if c > 1:
-        kbits = c.bit_length()
-        t = getrandbits(kbits)
-        while t >= c:
-            t = getrandbits(kbits)
-    else:
-        t = 0
-    j = group[t]
-    if j >= i:
-        j = group[t + 1]
-    by_column = getrandbits(1)
-    if by_column:
-        side, other = d.cols, d.rows
-    else:
-        side, other = d.rows, d.cols
-    bi = 1 << i
-    bj = 1 << j
+    both = (1 << i) | (1 << j)
     xi = side[i]
-    pool = (xi ^ side[j]) & ~(bi | bj)
-    if not pool:
-        return 0
-    a = (pool & xi).bit_count()
+    pool = (xi ^ side[j]) & ~both
+    held = pool & xi
+    a = held.bit_count()
     p = pool.bit_count()
-    s = a if a <= p - a else p - a
+    s = a if a + a <= p else p - a
     if not s:
         return 0
-    if p <= 8:  # a short pool is listed faster bit by bit than by bytes
+    if p <= 12:  # a short pool is listed faster bit by bit than by bytes
         nodes = []
         rest = pool
         while rest:
@@ -443,7 +429,7 @@ def _trade(d, members, codes, rng, outs=None, nonins=None):
             nodes.append(low.bit_length() - 1)
             rest ^= low
     else:
-        nodes = _set_bits(pool, (n + 7) >> 3)
+        nodes = _set_bits(pool, nbytes)
     chosen = 0
     for t in range(s):
         c = p - t
@@ -457,12 +443,11 @@ def _trade(d, members, codes, rng, outs=None, nonins=None):
         chosen |= 1 << k
     if s != a:
         chosen ^= pool
-    moved = (xi & pool) ^ chosen
+    moved = held ^ chosen
     if not moved:
         return 0
     side[i] = xi ^ moved
     side[j] ^= moved
-    both = bi | bj
     if outs is None:
         rest = moved
         while rest:
@@ -475,6 +460,7 @@ def _trade(d, members, codes, rng, outs=None, nonins=None):
     # to now's, and now leaves k's non-in list for was; in the column trade k
     # moves from now's non-in list to was's, and k's out list trades was for
     # now.
+    find, put = bisect_left, insort
     for rest, now, was in ((moved & chosen, i, j), (moved & ~chosen, j, i)):
         if by_column:
             lose, gain, far, drop, add = nonins[now], nonins[was], outs, was, now
@@ -485,28 +471,83 @@ def _trade(d, members, codes, rng, outs=None, nonins=None):
             rest ^= low
             k = low.bit_length() - 1
             other[k] ^= both
-            del lose[bisect_left(lose, k)]
-            insort(gain, k)
+            del lose[find(lose, k)]
+            put(gain, k)
             lst = far[k]
-            del lst[bisect_left(lst, drop)]
-            insort(lst, add)
+            del lst[find(lst, drop)]
+            put(lst, add)
     return moved.bit_count()
+
+
+def _trade(d, members, rng, outs=None, nonins=None):
+    """One global same-group trade on ``d``; returns the number of arcs it
+    moves.
+
+    One bit picks the side for the whole step: 0 trades out-sets (rows), 1
+    in-sets (columns).  Then, group by group in the order of ``members``
+    (each group's nodes sorted), a uniform perfect matching of the group's
+    members is drawn, and every matched pair makes the pool-split trade of
+    :func:`_pair_trade` as soon as it is matched.  The matching is a partial
+    Fisher-Yates shuffle of the members in increasing order: in a group of
+    odd size m, the member at position randrange(m) sits out and the last
+    member takes its place; then for t = 0, 2, 4, ..., the member at
+    position t is matched with the one at u = t + 1 + randrange(m' - t - 1),
+    m' the even number of members left, which swaps into position t + 1.  A
+    choice among one option draws nothing, and every choice draws its bits
+    as :func:`_walk` does.  Singleton groups take no part.
+    """
+    getrandbits = rng.getrandbits
+    by_column = getrandbits(1)
+    if by_column:
+        side, other = d.cols, d.rows
+    else:
+        side, other = d.rows, d.cols
+    nbytes = (d.n + 7) >> 3
+    pair_trade = _pair_trade
+    moved = 0
+    for group in members:
+        m = len(group)
+        if m < 2:
+            continue
+        order = list(group)
+        if m & 1:
+            kbits = m.bit_length()
+            r = getrandbits(kbits)
+            while r >= m:
+                r = getrandbits(kbits)
+            m -= 1
+            order[r] = order[m]
+        for t in range(0, m, 2):
+            c = m - t - 1
+            if c > 1:
+                kbits = c.bit_length()
+                r = getrandbits(kbits)
+                while r >= c:
+                    r = getrandbits(kbits)
+                r += t + 1
+                j = order[r]
+                order[r] = order[t + 1]
+            else:
+                j = order[t + 1]
+            moved += pair_trade(
+                side, other, order[t], j, by_column, getrandbits, nbytes, outs, nonins
+            )
+    return moved
 
 
 def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -> StepInfo:
     """Advance the chain by one step, mutating ``d`` in place.
 
-    With probability ``cfg.q`` the step is a same-group trade
+    With probability ``cfg.q`` the step is a global same-group trade
     (:func:`_trade`), reported as kind "lazy" with the arcs it moved as its
-    flips.  Otherwise
-    walks are grown under shared marks until either the accumulated
-    cross-group violations of all recorded cycles cancel (then every recorded
-    cycle is switched and the move is accepted) or a fair coin ends the
-    attempt (then nothing changes).  A cycle-free first walk cancels
+    flips.  Otherwise walks are grown under shared marks until either the
+    accumulated cross-group violations of all recorded cycles cancel (then
+    every recorded cycle is switched and the move is accepted) or a fair coin
+    ends the attempt (then nothing changes).  A cycle-free first walk cancels
     trivially and is accepted as a no-op.
     """
     if rng.random() < cfg.q:
-        return StepInfo("lazy", 0, _trade(d, g.members, g.codes, rng))
+        return StepInfo("lazy", 0, _trade(d, g.members, rng))
     n_walks, flips = _attempt(d, g.codes, g.n_groups, rng)
     if flips is None:
         return StepInfo("abandoned", n_walks, 0)
@@ -525,10 +566,11 @@ def markov_draw(
     The input matrix is left untouched, so concurrent draws can share it.
     Pass a :class:`ChainStats` to accumulate tallies: ``lazy`` counts the
     trade steps, and ``flips`` the arc modifications of trades and cycle
-    switches together (see :class:`ChainStats`).  The steps are those of :func:`markov_step`, made on the copy
-    together with its neighbour lists (:func:`_neighbour_lists`), which are
-    built once here.  A pilot-tuned ``cfg`` (``tau`` None) raises ValueError:
-    resolve it first, as :func:`testing.reference_draws` does.
+    switches together (see :class:`ChainStats`).  The steps are those of
+    :func:`markov_step`, made on the copy together with its neighbour lists
+    (:func:`_neighbour_lists`), which are built once here.  A pilot-tuned
+    ``cfg`` (``tau`` None) raises ValueError: resolve it first, as
+    :func:`testing.reference_draws` does.
     """
     out = d.copy()
     tau = cfg.tau
@@ -544,7 +586,7 @@ def markov_draw(
     for _ in range(tau):
         if random() < q:
             lazy += 1
-            flips += trade(out, members, codes, rng, outs, nonins)
+            flips += trade(out, members, rng, outs, nonins)
             continue
         step_flips = attempt(out, codes, K, rng, outs, nonins)[1]
         if step_flips is None:
@@ -565,25 +607,33 @@ def mixing_time_heuristic(
     g: GroupAssignment,
     r: float = 10.0,
     q: float = 0.5,
-    pilot_steps: int = 1000,
+    pilot_steps: Optional[int] = None,
     rng=None,
 ) -> int:
     """Walk length that modifies each arc about ``r`` times on average.
 
     A ``pilot_steps``-step :func:`markov_draw` with trade probability ``q``
     estimates the rate of arc modifications per step, the arcs moved by
-    trades and those flipped by cycle switches together (``ChainStats.flips``);
-    the returned tau solves tau * flips_per_step = r * arc_count,
+    global trades and those flipped by cycle switches together
+    (``ChainStats.flips``); the returned tau solves tau * flips_per_step = r * arc_count,
     i.e. tau = ceil(r * L * pilot_steps / pilot_flips).  ``r = 0`` returns 1
     without a pilot.  ``r`` and ``q`` are checked as :class:`ChainConfig`
     checks them, and an r so large that tau overflows to infinity raises
     ValueError.  A pilot with zero flips raises :class:`FrozenChainError`.
+
+    The default pilot is sized by its trade steps, which cost most and
+    whose number varies most between pilots: round(150 / q) steps, about 150
+    trades (300 steps at q = 0.5), but at most 1000 steps, the length for
+    q <= 0.15 and for q = 0, whose pilot makes no trades.
     """
     cfg = ChainConfig(pilot_steps, q, r)
     if r == 0:
         return 1
     if rng is None:
         raise ValueError("the pilot run needs an explicit rng")
+    if pilot_steps is None:
+        pilot_steps = 1000 if q <= 0.15 else round(150 / q)
+        cfg = ChainConfig(pilot_steps, q, r)
     stats = ChainStats()
     markov_draw(d, g, cfg, rng, stats)
     if stats.flips == 0:

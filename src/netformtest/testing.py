@@ -117,7 +117,8 @@ class TestStatisticSpec:
     says where its nuisance parameters come from: "fitted" fits the null MLE
     on the observed network once (reference draws reuse it), "provided"
     uses ``delta``, which is refused beside "fitted".  The index statistics
-    read no nuisance parameters, so they refuse "provided" and ``delta``.
+    read no strategic term and no nuisance parameters, so they refuse
+    ``strategic``, "provided" and ``delta``.
     """
 
     kind: str
@@ -131,6 +132,11 @@ class TestStatisticSpec:
         if self.delta_source not in ("fitted", "provided"):
             raise ValueError("delta_source must be 'fitted' or 'provided'")
         if self.kind != "locally_best":
+            if self.strategic is not None:
+                raise ValueError(
+                    f"{self.kind} reads no strategic term: strategic="
+                    f"{self.strategic!r} is read only by locally_best"
+                )
             if self.delta_source == "provided" or self.delta is not None:
                 raise ValueError(
                     f"{self.kind} reads no nuisance parameters: delta_source="

@@ -5,6 +5,7 @@ exhaustively; the expected sizes are frozen so a regression in either the
 enumerator or the chain shows up as a count mismatch.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -360,8 +361,6 @@ def random_groups(n, K, rng):
 
 def brute_force_reference_set(n, s, m, g):
     """Exhaustive scan over all 2^(n(n-1)) digraphs; the enumeration oracle."""
-    import itertools
-
     from netformtest.graphs import cross_link_matrix, degree_sequence
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -526,47 +525,72 @@ def replay_walk_log_prob(d: nt.AdjacencyMatrix, forced) -> float:
     return lp
 
 
-def trade_matrix(members, g):
-    """Exact one-step transition matrix of the same-group trade on a
+def perfect_matchings(nodes):
+    """Every matching of ``nodes`` that leaves at most one of them out: all
+    pairs when their number is even, and, when it is odd, all pairs of the
+    rest for each node that sits out.  Each matching is a list of pairs."""
+    nodes = list(nodes)
+    if len(nodes) % 2:
+        return [m for k in range(len(nodes)) for m in perfect_matchings(nodes[:k] + nodes[k + 1:])]
+    if not nodes:
+        return [[]]
+    first, rest = nodes[0], nodes[1:]
+    return [
+        [(first, rest[u])] + m
+        for u in range(len(rest))
+        for m in perfect_matchings(rest[:u] + rest[u + 1:])
+    ]
+
+
+def pair_trade_outcomes(d, i, j, by_column):
+    """Every network the pool-split trade of i and j on one side makes from
+    ``d``, each with its probability 1/C(p, a): p the pool size, a the pool
+    nodes i holds."""
+    def linked(u, k):
+        return d.has_arc(k, u) if by_column else d.has_arc(u, k)
+
+    pool = [k for k in range(d.n) if k not in (i, j) and linked(i, k) != linked(j, k)]
+    held = sum(linked(i, k) for k in pool)
+    subsets = list(itertools.combinations(pool, held))
+    for subset in subsets:
+        y = d.copy()
+        for k in pool:
+            u, v = (k, i) if by_column else (i, k)
+            y.set_arc(u, v, k in subset)
+            u, v = (k, j) if by_column else (j, k)
+            y.set_arc(u, v, k not in subset)
+        yield y, 1.0 / len(subsets)
+
+
+def global_trade_matrix(members, g):
+    """Exact one-step transition matrix of the global same-group trade on a
     reference set, listed as ``members``.
 
-    Sums, over every (i, j, side) and every subset of the pool that i could
-    hold, the probability 1/n * 1/(i's group-mates) * 1/2 * 1/C(p, a) of that
-    outcome, with p the pool size and a the pool nodes i holds.  A node
-    without group-mates leaves the network as it is, with probability 1/n.
+    Sums over both sides (probability 1/2 each), every combination of one
+    matching per group from :func:`perfect_matchings` (uniform within each
+    group) and every pool split of every matched pair
+    (:func:`pair_trade_outcomes`).  The pairs of one matching move disjoint
+    rows (or columns), so their trades are applied one after the other.
     """
-    import itertools
-
     index = {x.key(): t for t, x in enumerate(members)}
     size = len(members)
+    per_group = [perfect_matchings(group) for group in g.members]
+    combos = list(itertools.product(*per_group))
+    weight = 0.5 / len(combos)
     P = np.zeros((size, size))
     for x, d in enumerate(members):
-        n = d.n
-        for i in range(n):
-            mates = [k for k in range(n) if k != i and g.codes[k] == g.codes[i]]
-            if not mates:
-                P[x, x] += 1.0 / n
-                continue
-            for j in mates:
-                for by_column in (False, True):
-
-                    def linked(u, k):
-                        return d.has_arc(k, u) if by_column else d.has_arc(u, k)
-
-                    pool = [
-                        k for k in range(n) if k not in (i, j) and linked(i, k) != linked(j, k)
-                    ]
-                    held = sum(linked(i, k) for k in pool)
-                    subsets = list(itertools.combinations(pool, held))
-                    weight = 1.0 / (n * len(mates) * 2 * len(subsets))
-                    for subset in subsets:
-                        y = d.copy()
-                        for k in pool:
-                            u, v = (k, i) if by_column else (i, k)
-                            y.set_arc(u, v, k in subset)
-                            u, v = (k, j) if by_column else (j, k)
-                            y.set_arc(u, v, k not in subset)
-                        P[x, index[y.key()]] += weight
+        for by_column in (False, True):
+            for combo in combos:
+                dist = {d.key(): (d, 1.0)}
+                for i, j in itertools.chain.from_iterable(combo):
+                    nxt = {}
+                    for y, w in dist.values():
+                        for z, pz in pair_trade_outcomes(y, i, j, by_column):
+                            prev = nxt.get(z.key(), (z, 0.0))[1]
+                            nxt[z.key()] = (z, prev + w * pz)
+                    dist = nxt
+                for key, (_, w) in dist.items():
+                    P[x, index[key]] += weight * w
     return P
 
 
@@ -646,22 +670,20 @@ def tally(stats: ChainStats, info: StepInfo) -> None:
 
 
 def reference_trade(d, g, rng):
-    """The sampler's same-group trade written with ``randrange`` and sets.
+    """The sampler's global same-group trade written with ``randrange`` and
+    sets.
 
     The oracle for ``netformtest.sampler._trade``: it consumes the same random
     numbers, makes the same change to ``d`` and returns the same number of
-    moved arcs.  Node i is uniform; j is uniform among i's group-mates; one
-    bit picks out-sets (0) or in-sets (1).  Every node other than i and j that
-    is linked to exactly one of them joins the pool.  A partial Fisher-Yates
-    shuffle of the pool picks the smaller of i's and j's shares; i then holds
-    as many pool nodes as before.
+    moved arcs.  One bit picks out-sets (0) or in-sets (1) for every pair.
+    Each group of two or more in turn is matched: in a group of odd size a
+    uniform member sits out and the last takes its place; then the first remaining member is
+    paired with a uniform other, which the first's successor replaces.  Each
+    pair trades at once: every node other than i and j that is linked to
+    exactly one of them joins the pool, and a partial Fisher-Yates shuffle of
+    the pool picks the smaller of i's and j's shares; i then holds as many
+    pool nodes as before.
     """
-    n = d.n
-    i = rng.randrange(n)
-    mates = [k for k in range(n) if k != i and g.codes[k] == g.codes[i]]
-    if not mates:
-        return 0
-    j = mates[rng.randrange(len(mates))] if len(mates) > 1 else mates[0]
     by_column = rng.getrandbits(1)
 
     def linked(u, k):
@@ -673,22 +695,35 @@ def reference_trade(d, g, rng):
         else:
             d.set_arc(u, k, present)
 
-    pool = [k for k in range(n) if k not in (i, j) and linked(i, k) != linked(j, k)]
-    had = {k for k in pool if linked(i, k)}
-    share = min(len(had), len(pool) - len(had))
-    if share == 0:
-        return 0
-    for t in range(share):
-        r = t + rng.randrange(len(pool) - t)
-        pool[t], pool[r] = pool[r], pool[t]
-    picked = set(pool[:share])
-    gets = picked if share == len(had) else set(pool) - picked
     moved = 0
-    for k in pool:
-        if (k in gets) != (k in had):
-            set_link(i, k, k in gets)
-            set_link(j, k, k not in gets)
-            moved += 1
+    for group in g.members:
+        order = list(group)
+        if len(order) < 2:
+            continue
+        if len(order) % 2:
+            order[rng.randrange(len(order))] = order[-1]
+            order.pop()
+        while order:
+            i = order.pop(0)
+            u = rng.randrange(len(order)) if len(order) > 1 else 0
+            j = order[u]
+            order[u] = order[0]
+            order.pop(0)
+            pool = [k for k in range(d.n) if k not in (i, j) and linked(i, k) != linked(j, k)]
+            had = {k for k in pool if linked(i, k)}
+            share = min(len(had), len(pool) - len(had))
+            if share == 0:
+                continue
+            for t in range(share):
+                r = t + rng.randrange(len(pool) - t)
+                pool[t], pool[r] = pool[r], pool[t]
+            picked = set(pool[:share])
+            gets = picked if share == len(had) else set(pool) - picked
+            for k in pool:
+                if (k in gets) != (k in had):
+                    set_link(i, k, k in gets)
+                    set_link(j, k, k not in gets)
+                    moved += 1
     return moved
 
 

@@ -635,6 +635,40 @@ def test_an_index_statistic_refuses_provided_parameters(tmp_path, capsys, interi
     assert not (tmp_path / "t" / "result.json").exists()
 
 
+@pytest.mark.parametrize("statistic", ["ti", "reciprocity"])
+def test_an_index_statistic_refuses_a_given_spec(tmp_path, capsys, interior12, statistic):
+    _, _, edges, nodes = interior12
+    network = ["--edges", str(edges), "--nodes", str(nodes), "--draws", "5", "--tau", "5"]
+    code = main(
+        ["test", *network, "--statistic", statistic, "--spec", "customer-product"]
+        + ["--out", str(tmp_path / "t"), "--seed", "1"]
+    )
+    assert code == 3
+    assert "reads no strategic term" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "result.json").exists()
+    # Without --spec the index statistic runs, and locally-best reads transitivity.
+    for args, spec in ((["--statistic", statistic], None), ([], "transitivity")):
+        out = tmp_path / f"ok_{spec}"
+        assert main(["test", *network, *args, "--out", str(out), "--seed", "1"]) == 0
+        assert read_manifest(out)["config"]["spec"] == spec
+
+
+def test_mc_experiment_records_a_gamma_without_usable_replications(tmp_path):
+    out = tmp_path / "mc"
+    code = main(
+        ["mc-experiment", "--n-nodes", "24", "--n-reps", "3", "--n-draws", "5"]
+        + ["--gammas", "0,0.13", "--spec", "customer-product"]
+        + ["--statistics", "transitivity_index", "--out", str(out), "--seed", "5", "--jobs", "1"]
+    )
+    assert code == 0
+    _, rows = read_csv_rows(out / "power.csv")
+    assert [int(row["reps"]) for row in rows] == [3, 0]
+    assert read_manifest(out)["warnings"] == [
+        "gamma = 0.13: all 3 replication(s) failed (separated fit or frozen chain), "
+        "so the rejection rates of transitivity_index are undefined"
+    ]
+
+
 @pytest.mark.parametrize(
     "command", [["sample"], ["test", "--statistic", "reciprocity"]], ids=["sample", "test"]
 )

@@ -215,6 +215,26 @@ def test_small_populations_fail_often_and_are_counted():
     assert row.rejections <= max(row.n_used, 0)
 
 
+def test_a_gamma_without_a_usable_replication_warns():
+    # The customer-product term saturates at gamma = 0.13, so every fit there
+    # separates; gamma = 0 keeps two of its three replications.
+    cfg = nt.ExperimentConfig(
+        n_nodes=24,
+        n_reps=3,
+        n_draws=5,
+        gammas=(0.0, 0.13),
+        strategic="customer_product",
+        statistics=("locally_best_fitted", "transitivity_index"),
+    )
+    with pytest.warns(UserWarning) as caught:
+        table = nt.run_experiment(cfg, seed=5)
+    assert [str(w.message) for w in caught] == [
+        "gamma = 0.13: all 3 replication(s) failed (separated fit or frozen chain), "
+        "so the rejection rates of locally_best_fitted, transitivity_index are undefined"
+    ]
+    assert [row.n_used for row in table.rows] == [2, 2, 0, 0]
+
+
 def test_alpha_below_the_p_value_floor_never_rejects():
     # add-one p-values are bounded below by 1/(n_draws + 1) = 1/31, so a level
     # under that floor cannot reject no matter how extreme the network is

@@ -42,6 +42,7 @@ from _fixtures import (
     build_fixture,
     cycle_arcs,
     detect_schlaufe,
+    global_trade_matrix,
     random_digraph,
     random_groups,
     reference_step,
@@ -50,7 +51,6 @@ from _fixtures import (
     replay_walk_log_prob,
     reversed_walk,
     tally,
-    trade_matrix,
     violation_of_cycle,
 )
 
@@ -735,7 +735,7 @@ def groups_with_singletons(n, K, rng):
 def test_trade_kernel_is_a_symmetric_stochastic_matrix_with_spectrum_in_0_1(entry):
     d, g, size = build_fixture(entry)
     members = enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
-    P = trade_matrix(members, g)
+    P = global_trade_matrix(members, g)
     assert P.shape == (size, size)
     assert np.allclose(P, P.T, rtol=0.0, atol=1e-12)
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
@@ -744,12 +744,23 @@ def test_trade_kernel_is_a_symmetric_stochastic_matrix_with_spectrum_in_0_1(entr
     assert (np.diag(P) < 1.0).any()  # some member is left by a trade
 
 
+def test_no_trade_reverses_the_directed_three_cycle():
+    # The reason ChainConfig refuses q = 1: trades alone cannot leave this
+    # network, whose reference set also holds the reverse cycle.
+    d = nt.from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
+    g = nt.GroupAssignment.single_group(3)
+    rng = random.Random(59)
+    for _ in range(200):
+        assert _trade(d, g.members, rng) == 0
+    assert d.key() == nt.from_edge_list([(0, 1), (1, 2), (2, 0)], 3).key()
+
+
 @pytest.mark.parametrize("index", [1, 5], ids=["single_group", "two_groups"])
 def test_trade_frequencies_match_the_exact_trade_kernel(index):
     d, g, _ = build_fixture(CHAIN_FIXTURES[index])
     members = enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
     position = {x.key(): t for t, x in enumerate(members)}
-    P = trade_matrix(members, g)
+    P = global_trade_matrix(members, g)
     rng = random.Random(61)
     n_trades = 3000
     chi2 = df = 0.0
@@ -757,7 +768,7 @@ def test_trade_frequencies_match_the_exact_trade_kernel(index):
         counts = np.zeros(len(members))
         for _ in range(n_trades):
             y = start.copy()
-            _trade(y, g.members, g.codes, rng)
+            _trade(y, g.members, rng)
             counts[position[y.key()]] += 1
         reachable = P[x] > 0
         assert counts[~reachable].sum() == 0
@@ -780,7 +791,7 @@ def test_trades_preserve_degrees_cross_links_and_the_zero_diagonal():
                 m = cross_link_matrix(d, g)
                 for _ in range(150):
                     before = d.rows.copy()
-                    moved = _trade(d, g.members, g.codes, rng)
+                    moved = _trade(d, g.members, rng)
                     # Each moved arc clears one entry and sets another.
                     changed = sum((x ^ y).bit_count() for x, y in zip(before, d.rows))
                     assert changed == 2 * moved
@@ -800,7 +811,7 @@ def test_trades_with_only_singleton_groups_change_nothing():
     g = nt.GroupAssignment(tuple(range(n)), n)
     before = d.key()
     for _ in range(200):
-        assert _trade(d, g.members, g.codes, rng) == 0
+        assert _trade(d, g.members, rng) == 0
     assert d.key() == before
 
 
@@ -820,7 +831,7 @@ def test_trade_matches_reference_trade():
                 outs, nonins = _neighbour_lists(with_lists)
                 for _ in range(60):
                     expected = reference_trade(want, g, slow)
-                    got = _trade(with_lists, g.members, g.codes, fast, outs, nonins)
+                    got = _trade(with_lists, g.members, fast, outs, nonins)
                     assert got == expected
                     assert (with_lists.rows, with_lists.cols) == (want.rows, want.cols)
                     assert fast.getstate() == slow.getstate()
@@ -831,7 +842,7 @@ def test_trade_matches_reference_trade():
                 bare, want = d.copy(), d.copy()
                 for _ in range(60):
                     expected = reference_trade(want, g, slow)
-                    assert _trade(bare, g.members, g.codes, fast) == expected
+                    assert _trade(bare, g.members, fast) == expected
                 assert bare.rows == want.rows
     assert moved > 0
 
@@ -922,6 +933,19 @@ def test_heuristic_solves_the_flip_rate_equation():
     markov_draw(d, g, ChainConfig(tau=400, q=0.25), random.Random(11), stats)
     assert stats.flips > 0
     assert tau == max(1, math.ceil(7.0 * d.arc_count() * 400 / stats.flips))
+
+
+@pytest.mark.parametrize(
+    "q, steps", [(0.0, 1000), (0.15, 1000), (0.2, 750), (0.3, 500), (0.5, 300), (0.7, 214)]
+)
+def test_default_pilot_makes_about_150_trades(q, steps):
+    # The default length is round(150 / q) steps, at most 1000: with the same
+    # seed it leaves the same tau and generator state as that explicit length.
+    d, g, _ = build_fixture(CHAIN_FIXTURES[1])
+    given, default = random.Random(13), random.Random(13)
+    want = mixing_time_heuristic(d, g, r=7.0, q=q, pilot_steps=steps, rng=given)
+    assert mixing_time_heuristic(d, g, r=7.0, q=q, rng=default) == want
+    assert default.getstate() == given.getstate()
 
 
 def test_frozen_reference_sets_raise():

@@ -300,6 +300,14 @@ def test_an_index_statistic_refuses_nuisance_parameters(kind):
         nt.TestStatisticSpec(kind, delta_source="guess")
 
 
+@pytest.mark.parametrize("kind", ["transitivity_index", "reciprocity_index"])
+def test_an_index_statistic_refuses_a_strategic_term(kind):
+    for term in ("bogus", "transitivity"):
+        with pytest.raises(ValueError, match="reads no strategic term"):
+            nt.TestStatisticSpec(kind, term)
+    assert nt.TestStatisticSpec(kind).strategic is None
+
+
 _DELTA12 = nt.NuisanceParams(
     np.linspace(-1.0, 1.0, 12),
     np.linspace(0.5, -0.5, 12),
