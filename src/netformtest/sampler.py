@@ -42,15 +42,8 @@ Walk mechanics (0-based positions): even positions are *active*, odd positions
 out of that node; the step leaving an odd position picks a node whose arc
 *into* the odd-position node is absent and unmarked.  Both arcs point into the
 passive node.  A walk closes a cycle when it revisits a node in the same role;
-dead ends (no feasible continuation) end the walk with no cycle.  A draw keeps,
-beside the row and column bitmasks, each node's sorted out-neighbours and
-sorted non-in-neighbours (every k != j whose arc k -> j is absent), updated
-with every switched or traded arc.  An active step from i whose present arcs
-carry no mark, or a passive step at j whose absent in-arcs carry none, reads
-its choice from that list; any other step takes it from the bitmask of
-unmarked candidates.  Every step of an attempt's first walk is of the first
-kind, since revisiting a node in the same role closes the walk.  A single
-:func:`markov_step` builds no lists and takes every choice from the bitmasks.
+dead ends (no feasible continuation) end the walk with no cycle.  Every step
+takes its choice from the bitmask of unmarked candidates.
 
 Random numbers: every chain function takes an explicit ``random.Random``.  The
 trade and extension coins use ``rng.random()`` and a trade's side one
@@ -58,9 +51,7 @@ trade and extension coins use ``rng.random()`` and a trade's side one
 and each step) and of a trade (the matching and each pool split) calls
 ``rng.getrandbits`` exactly as ``rng.randrange`` would, so a seeded stream
 gives the same walks, trades, draws and tallies as a chain that calls
-``randrange`` for each choice.  A list and a bitmask hold the same
-candidates in the same increasing order, so a choice among c candidates draws
-the same bits and picks the same node either way.
+``randrange`` for each choice.
 """
 
 from __future__ import annotations
@@ -68,7 +59,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from bisect import bisect_left, insort
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
 
@@ -205,18 +195,7 @@ def _set_bits(mask: int, nbytes: int) -> list[int]:
     ]
 
 
-def _neighbour_lists(d: AdjacencyMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Sorted out-neighbours of every node, and sorted non-in-neighbours: for
-    node j, every k != j whose arc k -> j is absent."""
-    n = d.n
-    nbytes = (n + 7) >> 3
-    full = (1 << n) - 1
-    outs = [_set_bits(row, nbytes) for row in d.rows]
-    nonins = [_set_bits(full & ~col & ~(1 << j), nbytes) for j, col in enumerate(d.cols)]
-    return outs, nonins
-
-
-def _walk(rows, cols, n, mrows, mcols, rng, counts=None, outs=None, nonins=None):
+def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
     """Grow one alternating walk under the given marks (mutated in place).
 
     Returns (nodes, cycle_bounds); cycle_bounds is None for dead ends.  When
@@ -226,16 +205,13 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None, outs=None, nonins=None)
     Each uniform choice among c options is ``Random._randbelow(c)`` written
     out: draw c.bit_length() bits and redraw while the value is at least c.
     That is exactly the ``getrandbits`` sequence of ``rng.randrange(c)``, and
-    no bits are drawn when c == 1.  Given the neighbour lists ``outs`` and
-    ``nonins`` of :func:`_neighbour_lists`, a choice that no mark touches
-    reads the t-th candidate from its list; any other choice takes the t-th
-    lowest set bit of the candidate mask (:func:`_select_bit`).
+    no bits are drawn when c == 1.  The choice is the t-th lowest set bit of
+    the mask of unmarked candidates (:func:`_select_bit`).
     """
     full = (1 << n) - 1
     nbytes = (n + 7) >> 3
     getrandbits = rng.getrandbits
     select_bit = _select_bit
-    lists = outs is not None
     kbits = n.bit_length()
     start = getrandbits(kbits)
     while start >= n:
@@ -246,14 +222,8 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None, outs=None, nonins=None)
     cur = start
     while True:
         # Active step: follow an unmarked present arc out of cur.
-        row = rows[cur]
-        if lists and not row & mrows[cur]:
-            choices = outs[cur]
-            c = len(choices)
-        else:
-            choices = None
-            cand = row & ~mrows[cur]
-            c = cand.bit_count()
+        cand = rows[cur] & ~mrows[cur]
+        c = cand.bit_count()
         if not c:
             return nodes, None
         if c > 1:
@@ -261,9 +231,9 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None, outs=None, nonins=None)
             t = getrandbits(kbits)
             while t >= c:
                 t = getrandbits(kbits)
-            j = choices[t] if choices is not None else select_bit(cand, t, nbytes)
+            j = select_bit(cand, t, nbytes)
         else:
-            j = choices[0] if choices is not None else cand.bit_length() - 1
+            j = cand.bit_length() - 1
         mrows[cur] |= 1 << j
         mcols[j] |= 1 << cur
         nodes.append(j)
@@ -274,14 +244,8 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None, outs=None, nonins=None)
             return nodes, (p, len(nodes) - 1)
         pos_passive[j] = len(nodes) - 1
         # Passive step: pick k whose arc k -> j is absent and unmarked.
-        col = cols[j]
-        if lists and not mcols[j] & ~col:
-            choices = nonins[j]
-            c = len(choices)
-        else:
-            choices = None
-            cand = full & ~col & ~mcols[j] & ~(1 << j)
-            c = cand.bit_count()
+        cand = full & ~cols[j] & ~mcols[j] & ~(1 << j)
+        c = cand.bit_count()
         if not c:
             return nodes, None
         if c > 1:
@@ -289,9 +253,9 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None, outs=None, nonins=None)
             t = getrandbits(kbits)
             while t >= c:
                 t = getrandbits(kbits)
-            k = choices[t] if choices is not None else select_bit(cand, t, nbytes)
+            k = select_bit(cand, t, nbytes)
         else:
-            k = choices[0] if choices is not None else cand.bit_length() - 1
+            k = cand.bit_length() - 1
         mrows[k] |= 1 << j
         mcols[j] |= 1 << k
         nodes.append(k)
@@ -347,11 +311,9 @@ def switch_cycle(d: AdjacencyMatrix, arcs: list[tuple[int, int, bool]]) -> None:
         d.set_arc(u, v, not present)
 
 
-def _attempt(d, codes, K, rng, outs=None, nonins=None):
+def _attempt(d, codes, K, rng):
     """The cycle-switching part of :func:`markov_step` on ``d``; returns
-    (n_walks, flips), with flips None when the attempt is abandoned.  The
-    neighbour lists, if given, are passed to :func:`_walk` and kept in step
-    with every switched arc.
+    (n_walks, flips), with flips None when the attempt is abandoned.
     """
     n = d.n
     rows, cols = d.rows, d.cols
@@ -361,7 +323,7 @@ def _attempt(d, codes, K, rng, outs=None, nonins=None):
     cycles: list[tuple[list[int], tuple[int, int]]] = []
     n_walks = 0
     while True:
-        nodes, bounds = _walk(rows, cols, n, mrows, mcols, rng, None, outs, nonins)
+        nodes, bounds = _walk(rows, cols, n, mrows, mcols, rng)
         n_walks += 1
         if bounds is not None:
             cycles.append((nodes, bounds))
@@ -380,37 +342,28 @@ def _attempt(d, codes, K, rng, outs=None, nonins=None):
                 arcs = _cycle_arc_triples(nodes, bounds)
                 switch_cycle(d, arcs)
                 flips += len(arcs)
-                if outs is not None:
-                    for u, v, present in arcs:
-                        if present:
-                            outs[u].remove(v)
-                            insort(nonins[v], u)
-                        else:
-                            insort(outs[u], v)
-                            nonins[v].remove(u)
             return n_walks, flips
         if rng.random() >= 0.5:
             return n_walks, None
 
 
-def _pair_trade(side, other, i, j, by_column, getrandbits, nbytes, outs=None, nonins=None):
+def _pair_trade(side, other, i, j, getrandbits, nbytes):
     """Trade the pool of one pair i, j on one side; returns the arcs it moves.
 
     ``side`` holds the sets being traded (``d.rows``, the out-sets, or
-    ``d.cols``, the in-sets, when ``by_column`` is set) and ``other`` the
-    bitmasks of the other orientation.  The pool is the symmetric difference
-    of the two sets, positions i and j left out; every pool node is linked to
-    exactly one of i and j.  i keeps as many pool nodes as it had, now a
-    uniform subset of that size, and j takes the rest.  An empty pool leaves
-    both sets unchanged.
+    ``d.cols``, the in-sets) and ``other`` the bitmasks of the other
+    orientation.  The pool is the symmetric difference of the two sets,
+    positions i and j left out; every pool node is linked to exactly one of i
+    and j.  i keeps as many pool nodes as it had, now a uniform subset of that
+    size, and j takes the rest.  An empty pool leaves both sets unchanged.
 
     The subset is drawn by a partial Fisher-Yates shuffle of the pool nodes in
     increasing order: for t < s = min(a, p - a), with a the pool nodes i had
     and p the pool size, swap entry t with entry t + randrange(p - t).  The
     first s entries go to i if s == a, and to j otherwise.  Each uniform
     choice draws its bits as :func:`_walk` does.  Each pool node that changes
-    hands moves one arc, from i to j or back.  The neighbour lists, if given,
-    are kept in step with every moved arc.
+    hands moves one arc, from i to j or back, and flips bits i and j of that
+    node's bitmask in ``other``.
     """
     both = (1 << i) | (1 << j)
     xi = side[i]
@@ -448,38 +401,15 @@ def _pair_trade(side, other, i, j, by_column, getrandbits, nbytes, outs=None, no
         return 0
     side[i] = xi ^ moved
     side[j] ^= moved
-    if outs is None:
-        rest = moved
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            other[low.bit_length() - 1] ^= both
-        return moved.bit_count()
-    # Each node k of ``rest`` is linked to ``now`` after the trade and was
-    # linked to ``was`` before.  In the row trade k moves from was's out list
-    # to now's, and now leaves k's non-in list for was; in the column trade k
-    # moves from now's non-in list to was's, and k's out list trades was for
-    # now.
-    find, put = bisect_left, insort
-    for rest, now, was in ((moved & chosen, i, j), (moved & ~chosen, j, i)):
-        if by_column:
-            lose, gain, far, drop, add = nonins[now], nonins[was], outs, was, now
-        else:
-            lose, gain, far, drop, add = outs[was], outs[now], nonins, now, was
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            k = low.bit_length() - 1
-            other[k] ^= both
-            del lose[find(lose, k)]
-            put(gain, k)
-            lst = far[k]
-            del lst[find(lst, drop)]
-            put(lst, add)
+    rest = moved
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        other[low.bit_length() - 1] ^= both
     return moved.bit_count()
 
 
-def _trade(d, members, rng, outs=None, nonins=None):
+def _trade(d, members, rng):
     """One global same-group trade on ``d``; returns the number of arcs it
     moves.
 
@@ -497,8 +427,7 @@ def _trade(d, members, rng, outs=None, nonins=None):
     as :func:`_walk` does.  Singleton groups take no part.
     """
     getrandbits = rng.getrandbits
-    by_column = getrandbits(1)
-    if by_column:
+    if getrandbits(1):
         side, other = d.cols, d.rows
     else:
         side, other = d.rows, d.cols
@@ -529,9 +458,7 @@ def _trade(d, members, rng, outs=None, nonins=None):
                 order[r] = order[t + 1]
             else:
                 j = order[t + 1]
-            moved += pair_trade(
-                side, other, order[t], j, by_column, getrandbits, nbytes, outs, nonins
-            )
+            moved += pair_trade(side, other, order[t], j, getrandbits, nbytes)
     return moved
 
 
@@ -544,7 +471,9 @@ def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -
     accumulated cross-group violations of all recorded cycles cancel (then
     every recorded cycle is switched and the move is accepted) or a fair coin
     ends the attempt (then nothing changes).  A cycle-free first walk cancels
-    trivially and is accepted as a no-op.
+    trivially and is accepted as a no-op.  The step reads and writes only the
+    row and column bitmasks of ``d``; :func:`markov_draw` is ``tau`` calls of
+    it.
     """
     if rng.random() < cfg.q:
         return StepInfo("lazy", 0, _trade(d, g.members, rng))
@@ -566,39 +495,27 @@ def markov_draw(
     The input matrix is left untouched, so concurrent draws can share it.
     Pass a :class:`ChainStats` to accumulate tallies: ``lazy`` counts the
     trade steps, and ``flips`` the arc modifications of trades and cycle
-    switches together (see :class:`ChainStats`).  The steps are those of
-    :func:`markov_step`, made on the copy together with its neighbour lists
-    (:func:`_neighbour_lists`), which are built once here.  A pilot-tuned
-    ``cfg`` (``tau`` None) raises ValueError: resolve it first, as
+    switches together (see :class:`ChainStats`).  The draw is ``cfg.tau``
+    calls of :func:`markov_step` on the copy.  A pilot-tuned ``cfg`` (``tau``
+    None) raises ValueError: resolve it first, as
     :func:`testing.reference_draws` does.
     """
-    out = d.copy()
     tau = cfg.tau
     if tau is None:
         raise ValueError("markov_draw needs a fixed walk length; cfg.tau is None")
-    outs, nonins = _neighbour_lists(out)
-    codes, K, members = g.codes, g.n_groups, g.members
-    q = cfg.q
-    random = rng.random
-    attempt = _attempt
-    trade = _trade
-    lazy = abandoned = flips = 0
+    out = d.copy()
+    if stats is None:
+        stats = ChainStats()
     for _ in range(tau):
-        if random() < q:
-            lazy += 1
-            flips += trade(out, members, rng, outs, nonins)
-            continue
-        step_flips = attempt(out, codes, K, rng, outs, nonins)[1]
-        if step_flips is None:
-            abandoned += 1
+        info = markov_step(out, g, cfg, rng)
+        stats.steps += 1
+        stats.flips += info.flips
+        if info.kind == "lazy":
+            stats.lazy += 1
+        elif info.kind == "accepted":
+            stats.accepted += 1
         else:
-            flips += step_flips
-    if stats is not None:
-        stats.steps += tau
-        stats.lazy += lazy
-        stats.accepted += tau - lazy - abandoned
-        stats.abandoned += abandoned
-        stats.flips += flips
+            stats.abandoned += 1
     return out
 
 

@@ -32,8 +32,7 @@ from netformtest.sampler import (
     mixing_time_heuristic,
     switch_cycle,
 )
-from netformtest import sampler
-from netformtest.sampler import _neighbour_lists, _select_bit, _trade, _walk
+from netformtest.sampler import _select_bit, _trade, _walk
 
 from _fixtures import (
     CHAIN_FIXTURES,
@@ -605,22 +604,9 @@ def test_select_bit_matches_brute_force():
         _select_bit(0b1011, 3, 1)
 
 
-class CountedList(list):
-    """A list that counts its item reads in ``reads[0]``."""
-
-    def __init__(self, items, reads):
-        super().__init__(items)
-        self.reads = reads
-
-    def __getitem__(self, index):
-        self.reads[0] += 1
-        return super().__getitem__(index)
-
-
 def test_walk_matches_reference_walk():
     rng = random.Random(2718)
     seen_counts, seen_ends, odd_cycle_starts = set(), set(), 0
-    list_choices = mask_choices = 0
     for n in (2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130):
         for _ in range(60 if n < 60 else 20):
             d = mixed_digraph(n, rng)
@@ -629,18 +615,10 @@ def test_walk_matches_reference_walk():
             fast, slow = random.Random(seed), random.Random(seed)
             fast_marks = (list(mrows), list(mcols))
             slow_marks = (list(mrows), list(mcols))
-            reads = [0]
-            outs, nonins = _neighbour_lists(d)
-            outs = [CountedList(lst, reads) for lst in outs]
-            nonins = [CountedList(lst, reads) for lst in nonins]
             for _ in range(4):  # successive walks under shared marks, as in one attempt
                 fast_counts, slow_counts = [], []
-                reads[0] = 0
-                got = _walk(d.rows, d.cols, n, *fast_marks, fast, fast_counts, outs, nonins)
+                got = _walk(d.rows, d.cols, n, *fast_marks, fast, fast_counts)
                 want = reference_walk(d.rows, d.cols, n, *slow_marks, slow, slow_counts)
-                # Each choice a walk makes reads one list item or none.
-                list_choices += reads[0]
-                mask_choices += len(fast_counts) - reads[0]
                 assert got == want
                 assert fast_counts == slow_counts
                 assert fast_marks == slow_marks
@@ -654,8 +632,6 @@ def test_walk_matches_reference_walk():
     assert {1, 129} <= seen_counts
     assert seen_ends == {True, False}
     assert odd_cycle_starts > 0
-    # Both the neighbour lists and the mask fallback made choices.
-    assert list_choices > 0 and mask_choices > 0
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -682,41 +658,6 @@ def test_markov_draw_matches_reference_steps(K):
     # The draws switch cycles, and with several groups they also abandon.
     assert flips > 0
     assert (abandoned > 0) == (K > 1)
-
-
-def test_draw_keeps_neighbour_lists_in_step_with_the_matrix(monkeypatch):
-    kept = []
-
-    def keep(d):
-        lists = _neighbour_lists(d)
-        kept.append(lists)
-        return lists
-
-    monkeypatch.setattr(sampler, "_neighbour_lists", keep)
-    rng = random.Random(77)
-    n = 37
-    d = random_digraph(n, 0.3, rng)
-    g = random_groups(n, 2, rng)
-    stats = ChainStats()
-    out = markov_draw(d, g, ChainConfig(tau=3000, q=0.5), rng, stats)
-    assert stats.accepted >= 300 and stats.flips > 0
-    assert len(kept) == 1
-    outs, nonins = kept[0]
-    assert outs == [[j for j in range(n) if out.rows[i] >> j & 1] for i in range(n)]
-    assert nonins == [
-        [k for k in range(n) if k != j and not out.cols[j] >> k & 1] for j in range(n)
-    ]
-
-
-def test_single_steps_build_no_neighbour_lists(monkeypatch):
-    def refuse(d):
-        raise AssertionError("markov_step must not build neighbour lists")
-
-    monkeypatch.setattr(sampler, "_neighbour_lists", refuse)
-    d, g, _ = build_fixture(CHAIN_FIXTURES[0])
-    rng = random.Random(5)
-    kinds = {markov_step(d, g, ChainConfig(tau=1, q=0.2), rng).kind for _ in range(200)}
-    assert "accepted" in kinds
 
 
 # -- same-group trades --------------------------------------------------------------
@@ -827,44 +768,14 @@ def test_trade_matches_reference_trade():
                 g = groups_with_singletons(n, K, rng)
                 seed = rng.getrandbits(64)
                 fast, slow = random.Random(seed), random.Random(seed)
-                with_lists, want = d.copy(), d.copy()
-                outs, nonins = _neighbour_lists(with_lists)
+                got, want = d.copy(), d.copy()
                 for _ in range(60):
                     expected = reference_trade(want, g, slow)
-                    got = _trade(with_lists, g.members, fast, outs, nonins)
-                    assert got == expected
-                    assert (with_lists.rows, with_lists.cols) == (want.rows, want.cols)
+                    assert _trade(got, g.members, fast) == expected
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
                     assert fast.getstate() == slow.getstate()
-                    assert (outs, nonins) == _neighbour_lists(want)
                     moved += expected
-                # Without neighbour lists the trade makes the same change.
-                fast, slow = random.Random(seed), random.Random(seed)
-                bare, want = d.copy(), d.copy()
-                for _ in range(60):
-                    expected = reference_trade(want, g, slow)
-                    assert _trade(bare, g.members, fast) == expected
-                assert bare.rows == want.rows
     assert moved > 0
-
-
-@pytest.mark.parametrize("n", [37, 130])
-def test_draw_keeps_neighbour_lists_in_step_through_trades(monkeypatch, n):
-    kept = []
-
-    def keep(d):
-        lists = _neighbour_lists(d)
-        kept.append(lists)
-        return lists
-
-    monkeypatch.setattr(sampler, "_neighbour_lists", keep)
-    rng = random.Random(79 + n)
-    d = random_digraph(n, 0.3, rng)
-    g = random_groups(n, 2, rng)
-    stats = ChainStats()
-    out = markov_draw(d, g, ChainConfig(tau=600, q=0.9), rng, stats)
-    assert stats.lazy > 450 and stats.flips > 0
-    assert len(kept) == 1
-    assert kept[0] == keep(out)
 
 
 # -- reachability and uniformity ------------------------------------------------

@@ -68,6 +68,10 @@ def commands() -> list[tuple[str, list[str]]]:
             "sample_pilot_tuned_q0.9",
             ["sample", *NET, "--draws", "20", "--q", "0.9", "--tau-auto", "2"],
         ),
+        (
+            "sample_pilot_tuned_q0",
+            ["sample", *NET, "--draws", "20", "--q", "0", "--tau-auto", "2"],
+        ),
         ("enumerate", ["enumerate", *TINY, "--write-members"]),
     ]
     for statistic in ("locally-best", "ti", "reciprocity"):
@@ -94,6 +98,7 @@ def commands() -> list[tuple[str, list[str]]]:
             ["test", *NET, *CHAIN, "--delta-source", "provided",
              "--params", "runs/fit/params.json", "--jobs", "2"],
         ),
+        ("test_q0", ["test", *NET, *CHAIN, "--q", "0"]),
         ("test_pilot_tuned", ["test", *NET, "--draws", "20", "--tau-auto", "2"]),
         (
             "test_pilot_tuned_q0.2_jobs2",
