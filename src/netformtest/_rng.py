@@ -18,9 +18,14 @@ def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
-def substream_random(seed: int, *key: int) -> random.Random:
+def substream_seed(seed: int, *key: int) -> int:
+    """The integer seed of substream (seed, *key): 128 bits of its state."""
     state = seed_sequence(seed, *key).generate_state(4)
-    return random.Random(int.from_bytes(state.tobytes(), "little"))
+    return int.from_bytes(state.tobytes(), "little")
+
+
+def substream_random(seed: int, *key: int) -> random.Random:
+    return random.Random(substream_seed(seed, *key))
 
 
 def substream_generator(seed: int, *key: int) -> np.random.Generator:

@@ -453,12 +453,19 @@ def _cmd_calibrate(args, ctx: _RunContext) -> dict:
 # -- parser -----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.add_argument("--seed", type=int, default=None, help="root seed (default: system entropy)")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="worker processes (default: all cores)",
     )
@@ -601,7 +608,7 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ctx = _RunContext(outdir=outdir, seed=seed, jobs=max(1, args.jobs))
+    ctx = _RunContext(outdir=outdir, seed=seed, jobs=args.jobs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

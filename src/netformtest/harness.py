@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from ._rng import seed_sequence, substream_generator
+from ._rng import substream_generator, substream_seed
 from .graphs import GroupAssignment
 from .model import (
     NuisanceParams,
@@ -241,10 +241,7 @@ def _replication(cfg: ExperimentConfig, seed: int, gamma_index: int, rep: int):
         return None
     observed_values = [statistic(observed) for statistic in statistics]
 
-    chain_seed = int.from_bytes(
-        seed_sequence(seed, _NS_CHAIN, gamma_index, rep).generate_state(4).tobytes(),
-        "little",
-    )
+    chain_seed = substream_seed(seed, _NS_CHAIN, gamma_index, rep)
     try:
         draws = reference_draws(
             observed,

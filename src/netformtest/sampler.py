@@ -49,9 +49,11 @@ Random numbers: every chain function takes an explicit ``random.Random``.  The
 trade and extension coins use ``rng.random()`` and a trade's side one
 ``rng.getrandbits(1)``; every other uniform choice of a walk (the start node
 and each step) and of a trade (the matching and each pool split) calls
-``rng.getrandbits`` exactly as ``rng.randrange`` would, so a seeded stream
+``rng.getrandbits`` exactly as ``rng.randrange`` would for a choice among two
+or more options, and draws nothing for a single option.  So a seeded stream
 gives the same walks, trades, draws and tallies as a chain that calls
-``randrange`` for each choice.
+``randrange`` for each choice among two or more options and none for a single
+one.
 """
 
 from __future__ import annotations
@@ -202,10 +204,11 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
     ``counts`` is a list, the feasible-set size of every choice is appended to
     it (for probability bookkeeping).
 
-    Each uniform choice among c options is ``Random._randbelow(c)`` written
-    out: draw c.bit_length() bits and redraw while the value is at least c.
-    That is exactly the ``getrandbits`` sequence of ``rng.randrange(c)``, and
-    no bits are drawn when c == 1.  The choice is the t-th lowest set bit of
+    Each uniform choice among c >= 2 options is ``Random._randbelow(c)``
+    written out: draw c.bit_length() bits and redraw while the value is at
+    least c.  That is exactly the ``getrandbits`` sequence of
+    ``rng.randrange(c)``.  A choice among one option draws nothing, although
+    ``randrange(1)`` draws bits.  The choice is the t-th lowest set bit of
     the mask of unmarked candidates (:func:`_select_bit`).
     """
     full = (1 << n) - 1

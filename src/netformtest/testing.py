@@ -6,7 +6,8 @@ the dyad-independent null, whatever the nuisance parameters.  The tests here
 compare an observed statistic against its distribution over that reference
 set — enumerated exactly for tiny networks, sampled by the switching chain
 otherwise — with the add-one Monte Carlo p-value
-p = (1 + #{draws >= observed}) / (#draws + 1).
+p = (1 + #{draws >= observed}) / (#draws + 1), or, on an enumerated set, by
+the tie-randomized rejection rule of exact size alpha.
 
 The locally best statistic against interaction strength gamma > 0 is
 sum over i != j of (d_ij - F(mu_ij)) * s_ij(d).
@@ -47,7 +48,6 @@ from .sampler import (
 )
 
 __all__ = [
-    "CriticalValues",
     "TestResult",
     "TestStatisticSpec",
     "conditional_p_value",
@@ -456,41 +456,21 @@ def conditional_p_value(
 # -- exact randomized critical values ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalValues:
-    """Randomized rejection rule: reject above ``cutoff``, with probability
-    ``randomization`` at it, never below.  Built so the conditional rejection
-    probability over the enumerated reference set is exactly alpha."""
-
-    cutoff: float
-    randomization: float
-
-    def rejection_prob(self, value: float) -> float:
-        if value > self.cutoff:
-            return 1.0
-        if value == self.cutoff:
-            return self.randomization
-        return 0.0
-
-
 def exact_conditional_critical_values(
     d: AdjacencyMatrix,
     g: GroupAssignment,
     stat: TestStatisticSpec,
     alpha: float,
-) -> CriticalValues:
-    """Cutoff and boundary randomization achieving exact conditional size alpha.
-
-    The statistic is evaluated on the full enumerated reference set (uniform
-    under the null).  The cutoff is the smallest support value whose strict
-    upper tail has probability <= alpha; the boundary randomization then tops
-    the rejection probability up to exactly alpha.  alpha = 1 short-circuits
-    to (-inf, 0): reject always.
+):
+    """The randomized rejection rule of exact conditional size alpha, as a
+    picklable function of a statistic value x: the tie-randomized tail
+    probability P_V[(#{values > x} + V #{values = x}) / N <= alpha], V
+    uniform on (0, 1], over the N values of the statistic on the enumerated
+    reference set, which are equally likely under the null.  It never
+    decreases in x and randomizes at one support value at most.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if alpha == 1.0:
-        return CriticalValues(float("-inf"), 0.0)
     statistic = stat.resolve(d, g)
     others, _ = reference_draws(d, g, "enumerated", 0).values([statistic])
     values = np.append(others[:, 0], statistic(d))
@@ -499,15 +479,18 @@ def exact_conditional_critical_values(
             "statistic is undefined on part of the reference set; "
             "an exact randomized test cannot be built from it"
         )
-    total = values.size
-    support = np.unique(values)[::-1]  # descending
-    tail = 0  # count strictly above the current candidate
-    for v in support:
-        count_v = int((values == v).sum())
-        if tail + count_v > alpha * total:
-            # strict tail above v is fine, adding the atom at v overshoots
-            randomization = (alpha - tail / total) / (count_v / total)
-            return CriticalValues(float(v), float(randomization))
-        tail += count_v
-    # alpha >= 1 handled above; reaching here means alpha * total >= total
-    return CriticalValues(float(support[-1]), 1.0)
+    return partial(_rejection_probability, values=np.sort(values), alpha=alpha)
+
+
+def _rejection_probability(x: float, values: np.ndarray, alpha: float) -> float:
+    """P_V[(above + V ties) / N <= alpha] with V uniform on (0, 1], above =
+    #{values > x} and ties = #{values = x} over the N ``values`` sorted
+    ascending: min(1, max(0, (alpha N - above) / ties)) when ties >= 1, and
+    1 or 0 as above <= alpha N or not when ties = 0."""
+    lo = int(np.searchsorted(values, x, side="left"))
+    hi = int(np.searchsorted(values, x, side="right"))
+    above, ties = values.size - hi, hi - lo
+    budget = alpha * values.size
+    if ties:
+        return min(1.0, max(0.0, (budget - above) / ties))
+    return 1.0 if above <= budget else 0.0

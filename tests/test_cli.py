@@ -462,7 +462,12 @@ def test_mc_experiment_flags_override_the_config_file(tmp_path):
 
 
 def test_usage_errors_exit_with_code_2(tmp_path):
-    for argv in (["sample"], ["no-such-command"], []):
+    for argv in (
+        ["sample"],
+        ["no-such-command"],
+        [],
+        ["calibrate", "--jobs", "0", "--out", str(tmp_path)],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

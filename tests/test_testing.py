@@ -10,6 +10,7 @@ import math
 import pickle
 import random
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from netformtest.testing import (
     _NS_PILOT,
     REFERENCES,
     TI_NOTE,
-    CriticalValues,
     _density_only_draw,
     decided_at,
     reference_draws,
@@ -707,8 +707,8 @@ def test_critical_values_make_exact_size_on_the_reference_set():
     values = [nt.locally_best_statistic(m, delta, spec, g) for m in members]
     for alpha in (0.05, 0.1, 1 / 3, 0.5, 0.9):
         cv = nt.exact_conditional_critical_values(d, g, stat, alpha)
-        assert 0.0 <= cv.randomization <= 1.0
-        size = sum(cv.rejection_prob(v) for v in values) / len(values)
+        assert all(0.0 <= cv(v) <= 1.0 for v in values)
+        size = sum(cv(v) for v in values) / len(values)
         assert size == pytest.approx(alpha, abs=1e-12)
 
 
@@ -721,21 +721,20 @@ def test_critical_values_handle_ties_in_the_support():
     values = [reciprocity_index(m) for m in members]  # 6 zeros and 3 ones
     for alpha in (0.1, 1 / 3, 0.75):
         cv = nt.exact_conditional_critical_values(d, g, stat, alpha)
-        size = sum(cv.rejection_prob(v) for v in values) / len(values)
+        size = sum(cv(v) for v in values) / len(values)
         assert size == pytest.approx(alpha, abs=1e-12)
     # at alpha = 1/3 the three fully reciprocated members are rejected
     # with certainty and the six cycles never are
     cv = nt.exact_conditional_critical_values(d, g, stat, 1 / 3)
-    assert cv.rejection_prob(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert cv.rejection_prob(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert cv(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert cv(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alpha_one_rejects_everything():
     d, g, _ = build_fixture(CHAIN_FIXTURES[0])
     stat = nt.TestStatisticSpec(kind="reciprocity_index")
     cv = nt.exact_conditional_critical_values(d, g, stat, 1.0)
-    assert cv.cutoff == float("-inf")
-    assert cv.rejection_prob(-123.0) == 1.0
+    assert cv(-123.0) == 1.0
 
 
 def test_critical_values_validate_alpha():
@@ -753,8 +752,70 @@ def test_critical_values_refuse_undefined_statistics():
         nt.exact_conditional_critical_values(d, g, stat, 0.25)
 
 
-def test_rejection_probability_profile():
-    cv = CriticalValues(cutoff=2.0, randomization=0.4)
-    assert cv.rejection_prob(2.5) == 1.0
-    assert cv.rejection_prob(2.0) == 0.4
-    assert cv.rejection_prob(1.5) == 0.0
+EXACT_ALPHAS = (0.01, 0.05, 0.1, 1 / 3, 0.5, 0.9, 1.0)
+
+
+def exact_test_statistics(entry, seed):
+    """The reciprocity index and the locally best score of every built-in
+    term, each with its own random provided delta, as (spec, function of a
+    network) pairs."""
+    d, g, _ = build_fixture(entry)
+    rng = random.Random(seed)
+    cases = [(nt.TestStatisticSpec(kind="reciprocity_index"), reciprocity_index)]
+    for term in ("reciprocity", "transitivity", "customer_product"):
+        delta = random_delta(d.n, g.n_groups, rng)
+        spec = nt.TestStatisticSpec(
+            kind="locally_best", strategic=term, delta_source="provided", delta=delta
+        )
+        function = partial(
+            nt.locally_best_statistic, delta=delta, spec=nt.strategic_spec(term), g=g
+        )
+        cases.append((spec, function))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(CHAIN_FIXTURES)))
+def test_exact_rule_has_size_alpha_is_monotone_and_randomizes_once(index):
+    d, g, _ = build_fixture(CHAIN_FIXTURES[index])
+    members = nt.enumerate_reference_set(
+        degree_sequence(d), cross_link_matrix(d, g), g
+    )
+    for stat, function in exact_test_statistics(CHAIN_FIXTURES[index], 90 + index):
+        values = [function(m) for m in members]
+        support = sorted(set(values))
+        gaps = [(a + b) / 2 for a, b in zip(support, support[1:])]
+        off_support = [support[0] - 1.0, support[-1] + 1.0, -1e9, 1e9] + gaps
+        grid = sorted(support + off_support)
+        for alpha in EXACT_ALPHAS:
+            cv = nt.exact_conditional_critical_values(d, g, stat, alpha)
+            size = sum(cv(v) for v in values) / len(values)
+            assert size == pytest.approx(alpha, abs=1e-12)
+            profile = [cv(x) for x in grid]
+            assert all(a <= b for a, b in zip(profile, profile[1:]))
+            assert sum(0.0 < cv(v) < 1.0 for v in support) <= 1
+            assert all(cv(x) in (0.0, 1.0) for x in off_support)
+            if alpha == 1.0:
+                assert all(p == 1.0 for p in profile)
+            copy = pickle.loads(pickle.dumps(cv))
+            assert [copy(x) for x in grid] == profile
+
+
+@pytest.mark.parametrize("index", range(len(CHAIN_FIXTURES)))
+def test_exact_rule_rejects_where_the_enumerated_p_value_does(index):
+    """The add-one enumerated test is the non-randomized form of the exact
+    rule: where its p-value is at most alpha the rule rejects surely, and
+    where the rule never rejects the p-value exceeds alpha."""
+    d, g, _ = build_fixture(CHAIN_FIXTURES[index])
+    members = nt.enumerate_reference_set(
+        degree_sequence(d), cross_link_matrix(d, g), g
+    )
+    for stat, function in exact_test_statistics(CHAIN_FIXTURES[index], 90 + index):
+        rules = [nt.exact_conditional_critical_values(d, g, stat, a) for a in EXACT_ALPHAS]
+        for m in members:
+            p_value = nt.conditional_p_value(m, g, stat, reference="enumerated").p_value
+            x = function(m)
+            for alpha, cv in zip(EXACT_ALPHAS, rules):
+                if p_value <= alpha:
+                    assert cv(x) == 1.0
+                if cv(x) == 0.0:
+                    assert p_value > alpha
