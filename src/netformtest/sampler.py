@@ -17,7 +17,9 @@ group-level arc-count changes cancel to zero, at which point all recorded
 cycles are switched at once; otherwise a fair coin decides between extending
 the attempt and abandoning it.  Traversed links stay marked for the whole
 attempt, which makes the walks within one attempt link-disjoint and the cycle
-kernel symmetric.
+kernel symmetric.  Link-disjoint walks record each arc once, so the switch is
+one XOR pass over the recorded arcs: each arc becomes the opposite of what its
+walk read, present arcs vanish and absent ones appear.
 
 For a fixed side and pair, a pair's trade resamples uniformly within the
 networks that differ only in how its pool is split, so it is an orthogonal
@@ -80,7 +82,6 @@ __all__ = [
     "markov_draw",
     "markov_step",
     "mixing_time_heuristic",
-    "switch_cycle",
 ]
 
 
@@ -197,12 +198,10 @@ def _set_bits(mask: int, nbytes: int) -> list[int]:
     ]
 
 
-def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
+def _walk(rows, cols, n, mrows, mcols, rng):
     """Grow one alternating walk under the given marks (mutated in place).
 
-    Returns (nodes, cycle_bounds); cycle_bounds is None for dead ends.  When
-    ``counts`` is a list, the feasible-set size of every choice is appended to
-    it (for probability bookkeeping).
+    Returns (nodes, cycle_bounds); cycle_bounds is None for dead ends.
 
     Each uniform choice among c >= 2 options is ``Random._randbelow(c)``
     written out: draw c.bit_length() bits and redraw while the value is at
@@ -240,8 +239,6 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
         mrows[cur] |= 1 << j
         mcols[j] |= 1 << cur
         nodes.append(j)
-        if counts is not None:
-            counts.append(c)
         p = pos_passive.get(j)
         if p is not None:
             return nodes, (p, len(nodes) - 1)
@@ -262,8 +259,6 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
         mrows[k] |= 1 << j
         mcols[j] |= 1 << k
         nodes.append(k)
-        if counts is not None:
-            counts.append(c)
         p = pos_active.get(k)
         if p is not None:
             return nodes, (p, len(nodes) - 1)
@@ -271,81 +266,43 @@ def _walk(rows, cols, n, mrows, mcols, rng, counts=None):
         cur = k
 
 
-def _cycle_arc_triples(nodes, bounds):
-    """Arcs of the cycle as (source, target, currently_present) triples."""
-    a, b = bounds
-    arcs = []
-    for t in range(a, b):
-        if t % 2 == 0:
-            arcs.append((nodes[t], nodes[t + 1], True))
-        else:
-            arcs.append((nodes[t + 1], nodes[t], False))
-    return arcs
-
-
-def switch_cycle(d: AdjacencyMatrix, arcs: list[tuple[int, int, bool]]) -> None:
-    """Flip every arc of an alternating cycle in place.
-
-    Preconditions (checked, ValueError on failure): the presence flags match
-    ``d``; flags alternate; consecutive arcs are linked head-to-head after a
-    present arc and tail-to-tail after an absent one, wrapping around — which
-    is exactly the structure that makes the flip degree-preserving.
-    """
-    if not arcs:
-        return
-    m = len(arcs)
-    if m % 2 != 0:
-        raise ValueError("alternating cycle must have an even number of arcs")
-    for t, (u, v, present) in enumerate(arcs):
-        if u == v:
-            raise ValueError("cycle contains a self-loop")
-        if d.has_arc(u, v) != present:
-            raise ValueError(f"arc ({u}, {v}) presence flag does not match matrix")
-        nu, nv, npresent = arcs[(t + 1) % m]
-        if npresent == present:
-            raise ValueError("cycle arcs must alternate present/absent")
-        if present:  # next arc is absent and must point into the same node
-            if nv != v:
-                raise ValueError("present arc must share its target with the next arc")
-        else:  # next arc is present and must leave the same node
-            if nu != u:
-                raise ValueError("absent arc must share its source with the next arc")
-    for u, v, present in arcs:
-        d.set_arc(u, v, not present)
-
-
 def _attempt(d, codes, K, rng):
     """The cycle-switching part of :func:`markov_step` on ``d``; returns
     (n_walks, flips), with flips None when the attempt is abandoned.
+
+    Each closed cycle's arcs are recorded as (u, v) in the loop that totals
+    their group-count changes.  When the totals cancel, every recorded arc
+    is flipped in the row and column bitmasks by XOR; the walks share their
+    marks, so no arc is recorded twice.
     """
     n = d.n
     rows, cols = d.rows, d.cols
     mrows = [0] * n
     mcols = [0] * n
     total = [0] * (K * K)
-    cycles: list[tuple[list[int], tuple[int, int]]] = []
+    arcs: list[tuple[int, int]] = []
     n_walks = 0
     while True:
         nodes, bounds = _walk(rows, cols, n, mrows, mcols, rng)
         n_walks += 1
         if bounds is not None:
-            cycles.append((nodes, bounds))
             a, b = bounds
             # Even positions start a present arc nodes[t] -> nodes[t+1], which
             # the switch removes; odd positions the absent arc
             # nodes[t+1] -> nodes[t], which it adds.  a may be odd.
             for t in range(a, b):
                 if t & 1:
-                    total[codes[nodes[t + 1]] * K + codes[nodes[t]]] += 1
+                    u, v = nodes[t + 1], nodes[t]
+                    total[codes[u] * K + codes[v]] += 1
                 else:
-                    total[codes[nodes[t]] * K + codes[nodes[t + 1]]] -= 1
+                    u, v = nodes[t], nodes[t + 1]
+                    total[codes[u] * K + codes[v]] -= 1
+                arcs.append((u, v))
         if not any(total):
-            flips = 0
-            for nodes, bounds in cycles:
-                arcs = _cycle_arc_triples(nodes, bounds)
-                switch_cycle(d, arcs)
-                flips += len(arcs)
-            return n_walks, flips
+            for u, v in arcs:
+                rows[u] ^= 1 << v
+                cols[v] ^= 1 << u
+            return n_walks, len(arcs)
         if rng.random() >= 0.5:
             return n_walks, None
 
@@ -472,11 +429,11 @@ def markov_step(d: AdjacencyMatrix, g: GroupAssignment, cfg: ChainConfig, rng) -
     (:func:`_trade`), reported as kind "lazy" with the arcs it moved as its
     flips.  Otherwise walks are grown under shared marks until either the
     accumulated cross-group violations of all recorded cycles cancel (then
-    every recorded cycle is switched and the move is accepted) or a fair coin
-    ends the attempt (then nothing changes).  A cycle-free first walk cancels
-    trivially and is accepted as a no-op.  The step reads and writes only the
-    row and column bitmasks of ``d``; :func:`markov_draw` is ``tau`` calls of
-    it.
+    one XOR pass flips every recorded arc and the move is accepted) or a fair
+    coin ends the attempt (then nothing changes).  A cycle-free first walk
+    cancels trivially and is accepted as a no-op.  The step reads and writes
+    only the row and column bitmasks of ``d``; :func:`markov_draw` is ``tau``
+    calls of it.
     """
     if rng.random() < cfg.q:
         return StepInfo("lazy", 0, _trade(d, g.members, rng))
@@ -527,35 +484,33 @@ def mixing_time_heuristic(
     g: GroupAssignment,
     r: float = 10.0,
     q: float = 0.5,
-    pilot_steps: Optional[int] = None,
     rng=None,
 ) -> int:
     """Walk length that modifies each arc about ``r`` times on average.
 
-    A ``pilot_steps``-step :func:`markov_draw` with trade probability ``q``
-    estimates the rate of arc modifications per step, the arcs moved by
-    global trades and those flipped by cycle switches together
-    (``ChainStats.flips``); the returned tau solves tau * flips_per_step = r * arc_count,
-    i.e. tau = ceil(r * L * pilot_steps / pilot_flips).  ``r = 0`` returns 1
+    A pilot :func:`markov_draw` with trade probability ``q`` estimates the
+    rate of arc modifications per step, the arcs moved by global trades and
+    those flipped by cycle switches together (``ChainStats.flips``); the
+    returned tau solves tau * flips_per_step = r * arc_count, i.e.
+    tau = ceil(r * L * pilot_steps / pilot_flips).  ``r = 0`` returns 1
     without a pilot.  ``r`` and ``q`` are checked as :class:`ChainConfig`
-    checks them, and an r so large that tau overflows to infinity raises
-    ValueError.  A pilot with zero flips raises :class:`FrozenChainError`.
+    checks them, before anything else, and an r so large that tau overflows
+    to infinity raises ValueError.  A pilot with zero flips raises
+    :class:`FrozenChainError`.
 
-    The default pilot is sized by its trade steps, which cost most and
-    whose number varies most between pilots: round(150 / q) steps, about 150
-    trades (300 steps at q = 0.5), but at most 1000 steps, the length for
-    q <= 0.15 and for q = 0, whose pilot makes no trades.
+    The pilot is sized by its trade steps, which cost most and whose number
+    varies most between pilots: round(150 / q) steps, about 150 trades (300
+    steps at q = 0.5), but at most 1000 steps, the length for q <= 0.15 and
+    for q = 0, whose pilot makes no trades.
     """
-    cfg = ChainConfig(pilot_steps, q, r)
+    ChainConfig(None, q, r)  # refuses a bad q or r before round(150 / q) sees q
     if r == 0:
         return 1
     if rng is None:
         raise ValueError("the pilot run needs an explicit rng")
-    if pilot_steps is None:
-        pilot_steps = 1000 if q <= 0.15 else round(150 / q)
-        cfg = ChainConfig(pilot_steps, q, r)
+    pilot_steps = 1000 if q <= 0.15 else round(150 / q)
     stats = ChainStats()
-    markov_draw(d, g, cfg, rng, stats)
+    markov_draw(d, g, ChainConfig(pilot_steps, q, r), rng, stats)
     if stats.flips == 0:
         raise FrozenChainError(
             f"sampler appears frozen: pilot run of {pilot_steps} steps "

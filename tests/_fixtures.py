@@ -17,13 +17,7 @@ from netformtest import harness
 from netformtest._rng import seed_sequence, substream_generator
 from netformtest.graphs import DyadCensus
 from netformtest.model import _link_probabilities, logistic_cdf, systematic_utility
-from netformtest.sampler import (
-    ChainStats,
-    StepInfo,
-    _cycle_arc_triples,
-    _walk,
-    switch_cycle,
-)
+from netformtest.sampler import ChainStats, StepInfo
 from netformtest.testing import (
     INDEX_STATISTICS,
     add_one_p_value,
@@ -413,6 +407,51 @@ class LinkMarks:
         self.cols = [0] * self.n
 
 
+def cycle_arc_triples(nodes, bounds) -> list[tuple[int, int, bool]]:
+    """Arcs of the cycle at positions ``bounds`` of a walk, as
+    (source, target, currently_present) triples."""
+    a, b = bounds
+    arcs = []
+    for t in range(a, b):
+        if t % 2 == 0:
+            arcs.append((nodes[t], nodes[t + 1], True))
+        else:
+            arcs.append((nodes[t + 1], nodes[t], False))
+    return arcs
+
+
+def switch_cycle(d: nt.AdjacencyMatrix, arcs: list[tuple[int, int, bool]]) -> None:
+    """Flip every arc of an alternating cycle in place, with ``set_arc``.
+
+    The checked form of the sampler's XOR switch.  Preconditions (checked,
+    ValueError on failure): the presence flags match ``d``; flags alternate;
+    consecutive arcs are linked head-to-head after a present arc and
+    tail-to-tail after an absent one, wrapping around — which is exactly the
+    structure that makes the flip degree-preserving.
+    """
+    if not arcs:
+        return
+    m = len(arcs)
+    if m % 2 != 0:
+        raise ValueError("alternating cycle must have an even number of arcs")
+    for t, (u, v, present) in enumerate(arcs):
+        if u == v:
+            raise ValueError("cycle contains a self-loop")
+        if d.has_arc(u, v) != present:
+            raise ValueError(f"arc ({u}, {v}) presence flag does not match matrix")
+        nu, nv, npresent = arcs[(t + 1) % m]
+        if npresent == present:
+            raise ValueError("cycle arcs must alternate present/absent")
+        if present:  # next arc is absent and must point into the same node
+            if nv != v:
+                raise ValueError("present arc must share its target with the next arc")
+        else:  # next arc is present and must leave the same node
+            if nu != u:
+                raise ValueError("absent arc must share its source with the next arc")
+    for u, v, present in arcs:
+        d.set_arc(u, v, not present)
+
+
 @dataclass(eq=False)
 class Schlaufe:
     """One alternating walk: its nodes, step roles, cycle, and probability.
@@ -445,12 +484,12 @@ def detect_schlaufe(
     link-disjoint walks.
     """
     counts: list[int] = []
-    nodes, bounds = _walk(d.rows, d.cols, d.n, marks.rows, marks.cols, rng, counts)
+    nodes, bounds = reference_walk(d.rows, d.cols, d.n, marks.rows, marks.cols, rng, counts)
     K = g.n_groups
     violation = np.zeros((K, K), dtype=np.int64)
     if bounds is not None:
         codes = g.codes
-        for u, v, present in _cycle_arc_triples(nodes, bounds):
+        for u, v, present in cycle_arc_triples(nodes, bounds):
             violation[codes[u], codes[v]] += -1 if present else 1
     log_prob = -math.log(d.n) - sum(math.log(c) for c in counts)
     roles = tuple("active" if t % 2 == 0 else "passive" for t in range(len(nodes)))
@@ -461,7 +500,7 @@ def cycle_arcs(schlaufe: Schlaufe) -> list[tuple[int, int, bool]]:
     """The schlaufe's cycle as arc triples; empty when it has no cycle."""
     if schlaufe.cycle is None:
         return []
-    return _cycle_arc_triples(list(schlaufe.nodes), schlaufe.cycle)
+    return cycle_arc_triples(schlaufe.nodes, schlaufe.cycle)
 
 
 def violation_of_cycle(
@@ -600,10 +639,12 @@ def global_trade_matrix(members, g):
 def reference_walk(rows, cols, n, mrows, mcols, rng, counts=None):
     """The sampler's walk written with ``randrange`` and a bit-clearing loop.
 
-    The oracle for ``netformtest.sampler._walk``: same arguments, same result
-    (nodes, cycle_bounds), same marks and ``counts``.  Each choice among c > 1
-    candidates calls ``rng.randrange(c)`` and clears the lowest set bit t
-    times, so the runtime walk must consume the same random numbers.
+    The oracle for ``netformtest.sampler._walk``: same first six arguments,
+    same result (nodes, cycle_bounds) and same marks.  When ``counts`` is a
+    list, the feasible-set size of every choice is appended to it (for
+    probability bookkeeping).  Each choice among c > 1 candidates calls
+    ``rng.randrange(c)`` and clears the lowest set bit t times, so the
+    runtime walk must consume the same random numbers.
     """
     full = (1 << n) - 1
     randrange = rng.randrange
@@ -732,7 +773,9 @@ def reference_step(d, g, cfg, rng):
     :func:`reference_trade`; returns a StepInfo.
 
     Collects each cycle's arcs as (source, target, present) triples as soon as
-    the walk closes it, and switches them with the runtime ``switch_cycle``.
+    the walk closes it, and switches them with the checked
+    :func:`switch_cycle`, which refuses a cycle whose flags do not match the
+    network; the sampler flips the same arcs by XOR without the checks.
     """
     if rng.random() < cfg.q:
         return StepInfo("lazy", 0, reference_trade(d, g, rng))
@@ -746,12 +789,7 @@ def reference_step(d, g, cfg, rng):
         nodes, bounds = reference_walk(d.rows, d.cols, n, mrows, mcols, rng)
         n_walks += 1
         if bounds is not None:
-            a, b = bounds
-            arcs = [
-                (nodes[t], nodes[t + 1], True) if t % 2 == 0
-                else (nodes[t + 1], nodes[t], False)
-                for t in range(a, b)
-            ]
+            arcs = cycle_arc_triples(nodes, bounds)
             cycles.append(arcs)
             for u, v, present in arcs:
                 total[codes[u] * K + codes[v]] += -1 if present else 1

@@ -30,7 +30,6 @@ from netformtest.sampler import (
     markov_draw,
     markov_step,
     mixing_time_heuristic,
-    switch_cycle,
 )
 from netformtest.sampler import _select_bit, _trade, _walk
 
@@ -49,6 +48,7 @@ from _fixtures import (
     reference_walk,
     replay_walk_log_prob,
     reversed_walk,
+    switch_cycle,
     tally,
     violation_of_cycle,
 )
@@ -616,11 +616,10 @@ def test_walk_matches_reference_walk():
             fast_marks = (list(mrows), list(mcols))
             slow_marks = (list(mrows), list(mcols))
             for _ in range(4):  # successive walks under shared marks, as in one attempt
-                fast_counts, slow_counts = [], []
-                got = _walk(d.rows, d.cols, n, *fast_marks, fast, fast_counts)
+                slow_counts = []
+                got = _walk(d.rows, d.cols, n, *fast_marks, fast)
                 want = reference_walk(d.rows, d.cols, n, *slow_marks, slow, slow_counts)
                 assert got == want
-                assert fast_counts == slow_counts
                 assert fast_marks == slow_marks
                 assert fast.getstate() == slow.getstate()
                 bounds = want[1]
@@ -638,7 +637,7 @@ def test_walk_matches_reference_walk():
 def test_markov_draw_matches_reference_steps(K):
     rng = random.Random(300 + K)
     cfg = ChainConfig(tau=150, q=0.5)
-    abandoned = flips = 0
+    abandoned = flips = multi_walk_switches = 0
     for n in (4, 5, 9, 24, 65, 130):
         d = random_digraph(n, rng.choice([0.2, 0.5]), rng)
         g = random_groups(n, K, rng)
@@ -653,11 +652,18 @@ def test_markov_draw_matches_reference_steps(K):
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert stats == want_stats
         assert fast.getstate() == slow.getstate()
+        stepped, step_rng = d.copy(), random.Random(seed)
+        for _ in range(cfg.tau):
+            info = markov_step(stepped, g, cfg, step_rng)
+            multi_walk_switches += info.kind == "accepted" and info.n_walks >= 2 and info.flips > 0
+        assert (stepped.rows, stepped.cols) == (got.rows, got.cols)
         abandoned += stats.abandoned
         flips += stats.flips
-    # The draws switch cycles, and with several groups they also abandon.
+    # The draws switch cycles, and with several groups they also abandon and
+    # accept attempts of several walks, whose recorded arcs one pass flips.
     assert flips > 0
     assert (abandoned > 0) == (K > 1)
+    assert (multi_walk_switches > 0) == (K > 1)
 
 
 # -- same-group trades --------------------------------------------------------------
@@ -833,28 +839,34 @@ def test_pilot_requires_an_explicit_rng():
             mixing_time_heuristic(d, g, r=r, rng=random.Random(1))
     with pytest.raises(ValueError, match="not finite"):
         mixing_time_heuristic(d, g, r=1e308, rng=random.Random(1))
+    for q in (math.nan, 1.0, -0.5):  # refused before the pilot length is computed
+        with pytest.raises(ValueError, match="trade probability q"):
+            mixing_time_heuristic(d, g, r=5.0, q=q, rng=random.Random(1))
 
 
 def test_heuristic_solves_the_flip_rate_equation():
     d, g, _ = build_fixture(CHAIN_FIXTURES[1])
     before = d.key()
-    tau = mixing_time_heuristic(d, g, r=7.0, q=0.25, pilot_steps=400, rng=random.Random(11))
+    tau = mixing_time_heuristic(d, g, r=7.0, q=0.25, rng=random.Random(11))
     assert d.key() == before  # pilot runs on a copy
-    stats = ChainStats()
-    markov_draw(d, g, ChainConfig(tau=400, q=0.25), random.Random(11), stats)
+    stats = ChainStats()  # the default pilot: round(150 / 0.25) = 600 steps
+    markov_draw(d, g, ChainConfig(tau=600, q=0.25), random.Random(11), stats)
     assert stats.flips > 0
-    assert tau == max(1, math.ceil(7.0 * d.arc_count() * 400 / stats.flips))
+    assert tau == max(1, math.ceil(7.0 * d.arc_count() * 600 / stats.flips))
 
 
 @pytest.mark.parametrize(
     "q, steps", [(0.0, 1000), (0.15, 1000), (0.2, 750), (0.3, 500), (0.5, 300), (0.7, 214)]
 )
 def test_default_pilot_makes_about_150_trades(q, steps):
-    # The default length is round(150 / q) steps, at most 1000: with the same
-    # seed it leaves the same tau and generator state as that explicit length.
+    # The pilot is round(150 / q) steps, at most 1000: with the same seed it
+    # gives the tau of the flip equation over a draw of that length, and
+    # leaves the generator where that draw does.
     d, g, _ = build_fixture(CHAIN_FIXTURES[1])
     given, default = random.Random(13), random.Random(13)
-    want = mixing_time_heuristic(d, g, r=7.0, q=q, pilot_steps=steps, rng=given)
+    stats = ChainStats()
+    markov_draw(d, g, ChainConfig(steps, q), given, stats)
+    want = max(1, math.ceil(7.0 * d.arc_count() * steps / stats.flips))
     assert mixing_time_heuristic(d, g, r=7.0, q=q, rng=default) == want
     assert default.getstate() == given.getstate()
 
@@ -868,13 +880,12 @@ def test_frozen_reference_sets_raise():
     )
     g = nt.GroupAssignment.single_group(n)
     with pytest.raises(FrozenChainError, match="frozen"):
-        mixing_time_heuristic(complete, g, r=10.0, pilot_steps=200, rng=random.Random(3))
+        mixing_time_heuristic(complete, g, r=10.0, rng=random.Random(3))
     with pytest.raises(FrozenChainError):
         mixing_time_heuristic(
             nt.AdjacencyMatrix.zeros(3),
             nt.GroupAssignment.single_group(3),
             r=10.0,
-            pilot_steps=200,
             rng=random.Random(3),
         )
     with pytest.raises(FrozenChainError):
@@ -882,7 +893,6 @@ def test_frozen_reference_sets_raise():
             nt.from_edge_list([(0, 1)], 2),
             nt.GroupAssignment.single_group(2),
             r=10.0,
-            pilot_steps=200,
             rng=random.Random(3),
         )
 
