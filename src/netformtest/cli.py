@@ -493,20 +493,30 @@ def _add_network_inputs(p: argparse.ArgumentParser, nodes_help: str) -> None:
 def _add_chain_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--draws", type=int, default=200, help="number of reference draws")
     p.add_argument(
-        "--tau", type=int, default=None, help="chain steps per draw (default: pilot-tuned)"
+        "--tau",
+        type=int,
+        default=None,
+        help="chain steps per draw (default: tuned as --tau-auto says)",
     )
     p.add_argument(
         "--tau-auto",
         type=float,
         default=10.0,
         metavar="R",
-        help="pilot-tune tau to modify each arc R times per draw (ignored with --tau)",
+        help=(
+            "tune tau to modify each arc about R times per draw, by trades and "
+            "cycle switches together: exact expected trade moves plus a "
+            "cycle-switch pilot (ignored with --tau)"
+        ),
     )
     p.add_argument(
         "--q",
         type=float,
         default=0.5,
-        help="same-group trade probability of the pilot and the draws",
+        help=(
+            "same-group trade probability of each chain step, which also weights "
+            "the trade and cycle-switch rates of --tau-auto; must lie in [0, 1)"
+        ),
     )
 
 

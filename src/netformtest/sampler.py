@@ -86,7 +86,8 @@ __all__ = [
 
 
 class FrozenChainError(RuntimeError):
-    """The pilot run produced no arc switches, so the chain cannot mix."""
+    """No trade can move an arc of the observed network and the cycle pilot
+    switched none, so the chain cannot mix."""
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,10 @@ class ChainConfig:
     cycle-switching attempt otherwise.  ``q = 0`` switches cycles only;
     ``q = 1`` is refused, since trades alone need not reach the whole
     reference set (no matching turns a directed triangle into its reverse).
-    ``tau = None`` asks a pilot (:func:`mixing_time_heuristic`; 300 steps at
-    the default q, 1000 at q = 0) for a walk that modifies each arc about
-    ``mixing_r`` times per draw.
+    ``tau = None`` asks :func:`mixing_time_heuristic` for a walk that
+    modifies each arc about ``mixing_r`` times per draw, by trades and cycle
+    switches together: the exact expected trade moves plus a pilot of cycle
+    attempts only (150 at the default q, 1000 at q = 0).
     """
 
     tau: Optional[int] = None
@@ -479,6 +481,37 @@ def markov_draw(
     return out
 
 
+def _expected_trade_flips(d: AdjacencyMatrix, g: GroupAssignment) -> float:
+    """Expected number of arcs one global trade (:func:`_trade`) moves from ``d``.
+
+    For a pair i, j on one side, with S the side's sets, a = |S_i - S_j - {j}|
+    and b = |S_j - S_i - {i}| are the pool nodes that i and that j hold.  i's
+    new share is a uniform a-subset of the a + b pool nodes, so a matched
+    pair moves 2ab / (a + b) arcs in expectation.  A pair of a group of m
+    members is matched with probability w_m = 1 / (m - 1) for even m and
+    1 / m for odd m (one member sits out), and each side has probability
+    1/2, so the mean is the sum over sides, groups and pairs i < j of
+    w_m * ab / (a + b).
+    """
+    total = 0.0
+    for side in (d.rows, d.cols):
+        for group in g.members:
+            m = len(group)
+            if m < 2:
+                continue
+            part = 0.0
+            for t, i in enumerate(group):
+                xi = side[i]
+                for j in group[t + 1 :]:
+                    xj = side[j]
+                    a = (xi & ~xj & ~(1 << j)).bit_count()
+                    b = (xj & ~xi & ~(1 << i)).bit_count()
+                    if a and b:
+                        part += a * b / (a + b)
+            total += part / (m if m & 1 else m - 1)
+    return total
+
+
 def mixing_time_heuristic(
     d: AdjacencyMatrix,
     g: GroupAssignment,
@@ -488,35 +521,35 @@ def mixing_time_heuristic(
 ) -> int:
     """Walk length that modifies each arc about ``r`` times on average.
 
-    A pilot :func:`markov_draw` with trade probability ``q`` estimates the
-    rate of arc modifications per step, the arcs moved by global trades and
-    those flipped by cycle switches together (``ChainStats.flips``); the
-    returned tau solves tau * flips_per_step = r * arc_count, i.e.
-    tau = ceil(r * L * pilot_steps / pilot_flips).  ``r = 0`` returns 1
+    The expected arc modifications per step, trades and cycle switches
+    together (``ChainStats.flips``), is q * T + (1 - q) * F / s.  T, the
+    arcs one global trade moves from ``d``, is computed exactly
+    (:func:`_expected_trade_flips`; skipped at q = 0).  F is the flips of a
+    pilot :func:`markov_draw` of s cycle-switching attempts (q = 0) on a
+    copy of ``d``: s = 1000 for q <= 0.15 and max(1, round(150 (1 - q) / q))
+    otherwise, about the attempts a pilot of 150 trade steps would make.
+    The returned tau solves tau * rate = r * arc_count, i.e.
+    tau = ceil(r * L * s / (q * s * T + (1 - q) * F)).  ``r = 0`` returns 1
     without a pilot.  ``r`` and ``q`` are checked as :class:`ChainConfig`
     checks them, before anything else, and an r so large that tau overflows
-    to infinity raises ValueError.  A pilot with zero flips raises
-    :class:`FrozenChainError`.
-
-    The pilot is sized by its trade steps, which cost most and whose number
-    varies most between pilots: round(150 / q) steps, about 150 trades (300
-    steps at q = 0.5), but at most 1000 steps, the length for q <= 0.15 and
-    for q = 0, whose pilot makes no trades.
+    to infinity raises ValueError.  When T = 0 and the pilot flips nothing,
+    no step can change ``d`` and :class:`FrozenChainError` is raised.
     """
-    ChainConfig(None, q, r)  # refuses a bad q or r before round(150 / q) sees q
+    ChainConfig(None, q, r)  # refuses a bad q or r before the pilot length sees q
     if r == 0:
         return 1
     if rng is None:
         raise ValueError("the pilot run needs an explicit rng")
-    pilot_steps = 1000 if q <= 0.15 else round(150 / q)
+    pilot_steps = 1000 if q <= 0.15 else max(1, round(150 * (1 - q) / q))
     stats = ChainStats()
-    markov_draw(d, g, ChainConfig(pilot_steps, q, r), rng, stats)
-    if stats.flips == 0:
+    markov_draw(d, g, ChainConfig(pilot_steps, 0.0), rng, stats)
+    trades = q * pilot_steps * _expected_trade_flips(d, g) if q else 0.0
+    if not trades and not stats.flips:
         raise FrozenChainError(
             f"sampler appears frozen: pilot run of {pilot_steps} steps "
             "switched no arcs (reference set may contain a single network)"
         )
-    tau = r * d.arc_count() * pilot_steps / stats.flips
+    tau = r * d.arc_count() * pilot_steps / (trades + (1 - q) * stats.flips)
     if not math.isfinite(tau):
         raise ValueError(f"mixing_r = {r!r} gives a walk length that is not finite")
     return max(1, math.ceil(tau))

@@ -320,11 +320,12 @@ def reference_draws(
     "enumerated" enumerates the reference set now; ``n_draws``, ``cfg`` and
     ``seed`` are then ignored, and so is ``cfg`` for "density_only".  The
     chain references walk as ``cfg`` says, ``ChainConfig()`` when it is
-    None.  A pilot-tuned ``cfg`` (``tau`` None) is resolved here, once: a
-    pilot with trade probability ``cfg.q`` on the substream (seed,
-    pilot-namespace) sets tau so that each arc is modified about
-    ``cfg.mixing_r`` times per draw, and the draws take
-    ``ChainConfig(tau, cfg.q, cfg.mixing_r)``.
+    None.  A pilot-tuned ``cfg`` (``tau`` None) is resolved here, once, by
+    :func:`mixing_time_heuristic`: the exact expected trade moves of the
+    observed network, weighted by ``cfg.q``, and a pilot of cycle attempts on
+    the substream (seed, pilot-namespace), weighted by 1 - ``cfg.q``, set tau
+    so that each arc is modified about ``cfg.mixing_r`` times per draw, and
+    the draws take ``ChainConfig(tau, cfg.q, cfg.mixing_r)``.
     """
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
@@ -399,10 +400,10 @@ def conditional_p_value(
     "enumerated" replaces sampling with the full reference set (minus the
     observed network), making the add-one p-value the exact conditional tail
     probability.  ``cfg`` is the chain's walk, ``ChainConfig()`` when None;
-    with ``cfg.tau`` None a pilot sets tau (see :func:`reference_draws`), and
-    the result reports the tau and q the draws used.  Draw b uses the
-    substream (seed, draw-namespace, b), so results are independent of
-    ``jobs``.
+    with ``cfg.tau`` None the exact trade moves and a cycle pilot set tau
+    (see :func:`reference_draws`), and the result reports the tau and q the
+    draws used.  Draw b uses the substream (seed, draw-namespace, b), so
+    results are independent of ``jobs``.
     """
     statistic = stat.resolve(d, g)
     draws = reference_draws(d, g, reference, n_draws, cfg, seed)

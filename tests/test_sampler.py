@@ -31,7 +31,7 @@ from netformtest.sampler import (
     markov_step,
     mixing_time_heuristic,
 )
-from netformtest.sampler import _select_bit, _trade, _walk
+from netformtest.sampler import _expected_trade_flips, _select_bit, _trade, _walk
 
 from _fixtures import (
     CHAIN_FIXTURES,
@@ -691,6 +691,31 @@ def test_trade_kernel_is_a_symmetric_stochastic_matrix_with_spectrum_in_0_1(entr
     assert (np.diag(P) < 1.0).any()  # some member is left by a trade
 
 
+def exact_trade_flips(members, g):
+    """Expected arcs one global trade moves from each member, from the exact
+    trade kernel: a trade moves each arc it changes from one node to another,
+    so the arcs moved are half the symmetric difference of the networks."""
+    P = global_trade_matrix(members, g)
+    return [
+        0.5 * sum(
+            P[x, y] * sum((a ^ b).bit_count() for a, b in zip(dx.rows, dy.rows))
+            for y, dy in enumerate(members)
+        )
+        for x, dx in enumerate(members)
+    ]
+
+
+@pytest.mark.parametrize("entry", CHAIN_FIXTURES, ids=lambda e: e[0])
+def test_expected_trade_flips_match_the_exact_trade_kernel(entry):
+    # The fixtures cover one and two groups and even and odd group sizes.
+    d, g, _ = build_fixture(entry)
+    members = enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
+    want = exact_trade_flips(members, g)
+    assert max(want) > 0
+    for x, expected in zip(members, want):
+        assert _expected_trade_flips(x, g) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
 def test_no_trade_reverses_the_directed_three_cycle():
     # The reason ChainConfig refuses q = 1: trades alone cannot leave this
     # network, whose reference set also holds the reverse cycle.
@@ -844,31 +869,59 @@ def test_pilot_requires_an_explicit_rng():
             mixing_time_heuristic(d, g, r=5.0, q=q, rng=random.Random(1))
 
 
+def exact_trade_flips_of(d, g):
+    members = enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
+    keys = [x.key() for x in members]
+    return exact_trade_flips(members, g)[keys.index(d.key())]
+
+
 def test_heuristic_solves_the_flip_rate_equation():
-    d, g, _ = build_fixture(CHAIN_FIXTURES[1])
+    # Per step the chain moves q * T arcs by trades, T exact, and (1 - q) * F / s
+    # by cycle switches, F the flips of an s-step cycle-only pilot; tau steps
+    # modify r * L arcs.  At q = 0.25 the pilot is round(150 * 0.75 / 0.25) = 450
+    # cycle attempts.
+    d, g, _ = build_fixture(CHAIN_FIXTURES[5])
     before = d.key()
     tau = mixing_time_heuristic(d, g, r=7.0, q=0.25, rng=random.Random(11))
     assert d.key() == before  # pilot runs on a copy
-    stats = ChainStats()  # the default pilot: round(150 / 0.25) = 600 steps
-    markov_draw(d, g, ChainConfig(tau=600, q=0.25), random.Random(11), stats)
-    assert stats.flips > 0
-    assert tau == max(1, math.ceil(7.0 * d.arc_count() * 600 / stats.flips))
+    stats = ChainStats()
+    markov_draw(d, g, ChainConfig(tau=450, q=0.0), random.Random(11), stats)
+    trade_flips = exact_trade_flips_of(d, g)
+    assert stats.flips > 0 and trade_flips > 0
+    rate = 0.25 * trade_flips + 0.75 * stats.flips / 450
+    assert tau == math.ceil(7.0 * d.arc_count() / rate)
 
 
 @pytest.mark.parametrize(
-    "q, steps", [(0.0, 1000), (0.15, 1000), (0.2, 750), (0.3, 500), (0.5, 300), (0.7, 214)]
+    "q, steps",
+    [(0.0, 1000), (0.15, 1000), (0.2, 600), (0.3, 350), (0.5, 150), (0.7, 64), (0.9995, 1)],
 )
-def test_default_pilot_makes_about_150_trades(q, steps):
-    # The pilot is round(150 / q) steps, at most 1000: with the same seed it
-    # gives the tau of the flip equation over a draw of that length, and
-    # leaves the generator where that draw does.
-    d, g, _ = build_fixture(CHAIN_FIXTURES[1])
+def test_pilot_runs_only_cycle_attempts(q, steps):
+    # The pilot is 1000 cycle attempts for q <= 0.15 and otherwise
+    # max(1, round(150 * (1 - q) / q)), about the attempts of a pilot of 150
+    # trade steps.  With the same seed it gives the tau of the flip equation
+    # and leaves the generator where a cycle-only draw of that length does.
+    d, g, _ = build_fixture(CHAIN_FIXTURES[5])
     given, default = random.Random(13), random.Random(13)
     stats = ChainStats()
-    markov_draw(d, g, ChainConfig(steps, q), given, stats)
-    want = max(1, math.ceil(7.0 * d.arc_count() * steps / stats.flips))
-    assert mixing_time_heuristic(d, g, r=7.0, q=q, rng=default) == want
+    markov_draw(d, g, ChainConfig(steps, 0.0), given, stats)
+    trades = q * steps * exact_trade_flips_of(d, g)
+    want = max(1, math.ceil(7.0 * d.arc_count() * steps / (trades + (1 - q) * stats.flips)))
+    tau = mixing_time_heuristic(d, g, r=7.0, q=q, rng=default)
+    assert tau == want
     assert default.getstate() == given.getstate()
+    if q == 0:  # the pilot of a cycle-only chain is unchanged
+        assert tau == 15
+
+
+def test_cycle_pilot_tunes_the_directed_three_cycle():
+    # No trade moves an arc of the directed 3-cycle, but a cycle switch
+    # reverses it, so the chain is not frozen.
+    d = nt.from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
+    g = nt.GroupAssignment.single_group(3)
+    assert _expected_trade_flips(d, g) == 0.0
+    tau = mixing_time_heuristic(d, g, r=10.0, q=0.5, rng=random.Random(3))
+    assert 1 <= tau < math.inf
 
 
 def test_frozen_reference_sets_raise():
