@@ -43,7 +43,7 @@ from .testing import (
     TestStatisticSpec,
     conditional_p_value,
     exact_conditional_critical_values,
-    locally_best_statistic,
+    score_statistic,
 )
 
 __all__ = [
@@ -69,7 +69,7 @@ __all__ = [
     "TestStatisticSpec",
     "conditional_p_value",
     "exact_conditional_critical_values",
-    "locally_best_statistic",
+    "score_statistic",
     "ExperimentConfig",
     "run_experiment",
     "study_population",

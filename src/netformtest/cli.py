@@ -188,6 +188,9 @@ def _load_params(path, ctx: _RunContext) -> tuple[NuisanceParams, GroupAssignmen
         codes = tuple(int(c) for c in raw["groups"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed parameter file: {exc}") from exc
+    for name in ("sender", "receiver", "mixing"):
+        if not np.isfinite(getattr(delta, name)).all():
+            raise DataError(f"{path}: {name} has an entry that is not finite")
     g = GroupAssignment(codes, delta.n_groups)
     if g.n_nodes != delta.n_nodes:
         raise DataError(f"{path}: groups and effects disagree on node count")
@@ -202,11 +205,12 @@ def _fit_gradient_sup_norm(d, delta, g) -> float:
 
 
 def _arc_rows(networks, index_base: int) -> list[tuple[int, int, int]]:
-    """(index, source, target) for every arc of each network, in order."""
+    """(index, source, target) for every arc of each network, an
+    ``AdjacencyMatrix`` or a dense 0/1 array, in row-major order."""
     return [
         (idx, i + index_base, j + index_base)
         for idx, d in enumerate(networks)
-        for i, j in d.arcs()
+        for i, j in np.argwhere(np.asarray(d)).tolist()
     ]
 
 
@@ -295,6 +299,11 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
             raise DataError("--delta-source provided requires --params")
         delta, g_params = _load_params(args.params, ctx)
         if not args.nodes:
+            if g_params.n_nodes != d.n:
+                raise DataError(
+                    f"{args.params} covers {g_params.n_nodes} nodes, but the "
+                    f"network from --edges has {d.n}"
+                )
             g = g_params
     elif args.params:
         raise DataError("--params is read only with --delta-source provided")

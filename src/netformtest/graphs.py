@@ -24,7 +24,6 @@ __all__ = [
     "GroupAssignment",
     "DegreeSequence",
     "CrossLinkMatrix",
-    "DyadCensus",
     "DataError",
     "DuplicateArcWarning",
     "from_edge_list",
@@ -32,7 +31,6 @@ __all__ = [
     "cross_link_matrix",
     "reciprocity_index",
     "transitivity_index",
-    "dyad_census",
     "read_edge_csv",
     "read_node_csv",
     "write_edge_csv",
@@ -97,10 +95,6 @@ class AdjacencyMatrix:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def zeros(cls, n: int) -> "AdjacencyMatrix":
-        return cls(n)
-
-    @classmethod
     def from_dense(cls, array) -> "AdjacencyMatrix":
         """Build from an n x n array-like of 0/1 entries (zero diagonal)."""
         arr = np.asarray(array)
@@ -143,9 +137,6 @@ class AdjacencyMatrix:
         else:
             self.rows[i] &= ~bit_j
             self.cols[j] &= ~(1 << i)
-
-    def add_arc(self, i: int, j: int) -> None:
-        self.set_arc(i, j, True)
 
     # -- whole-matrix views --------------------------------------------------
 
@@ -288,21 +279,6 @@ class CrossLinkMatrix:
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class DyadCensus:
-    """Unordered-dyad counts: mutual, asymmetric, and null (no arc) dyads."""
-
-    mutual: int
-    asymmetric: int
-    null: int
-
-    def total(self) -> int:
-        return self.mutual + self.asymmetric + self.null
-
 
 def from_edge_list(edges, n: int) -> AdjacencyMatrix:
     """Build an adjacency matrix from (source, target) pairs on nodes 0..n-1.
@@ -321,7 +297,7 @@ def from_edge_list(edges, n: int) -> AdjacencyMatrix:
         if d.has_arc(i, j):
             duplicates += 1
         else:
-            d.add_arc(i, j)
+            d.set_arc(i, j, True)
     if duplicates:
         warnings.warn(
             f"{duplicates} duplicate arc(s) collapsed", DuplicateArcWarning,
@@ -347,16 +323,6 @@ def cross_link_matrix(d: AdjacencyMatrix, g: GroupAssignment) -> CrossLinkMatrix
             for group in g.members
         )
     )
-
-
-def dyad_census(d: AdjacencyMatrix) -> DyadCensus:
-    """Classify each unordered pair {i, j} as mutual, asymmetric, or null."""
-    # rows[i] & cols[i] marks the j with both i -> j and j -> i; each mutual
-    # dyad is seen from both of its ends.
-    mutual = sum((row & col).bit_count() for row, col in zip(d.rows, d.cols)) // 2
-    asym = d.arc_count() - 2 * mutual
-    n_dyads = d.n * (d.n - 1) // 2
-    return DyadCensus(mutual, asym, n_dyads - mutual - asym)
 
 
 def reciprocity_index(d) -> float:

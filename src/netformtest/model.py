@@ -26,7 +26,6 @@ __all__ = [
     "NuisanceParams",
     "SeparationError",
     "StrategicSpec",
-    "draw_logistic_shocks",
     "logistic_cdf",
     "mle_null",
     "null_log_likelihood",
@@ -387,23 +386,20 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
 # -- simulation ---------------------------------------------------------------
 
 
-def draw_logistic_shocks(rng: np.random.Generator, n: int) -> np.ndarray:
-    """An n x n matrix of iid standard-logistic shocks (diagonal unused)."""
-    return rng.logistic(size=(n, n))
-
-
 def simulate_null(
     delta: NuisanceParams,
     g: GroupAssignment,
     rng: Optional[np.random.Generator] = None,
     shocks: Optional[np.ndarray] = None,
 ) -> AdjacencyMatrix:
-    """Draw a network of independent arcs: d_ij = 1{mu_ij >= u_ij}."""
+    """Draw a network of independent arcs: d_ij = 1{mu_ij >= u_ij}, with u
+    the n x n ``shocks``, iid standard logistic from ``rng`` when not given
+    (diagonal unused)."""
     mu = systematic_utility(delta, g)
     if shocks is None:
         if rng is None:
             raise ValueError("need an rng when shocks are not supplied")
-        shocks = draw_logistic_shocks(rng, g.n_nodes)
+        shocks = rng.logistic(size=(g.n_nodes, g.n_nodes))
     dense = (mu >= shocks).astype(np.uint8)  # NaN diagonal compares False
     return AdjacencyMatrix.from_dense(dense)
 
@@ -436,7 +432,7 @@ def simulate_alternative(
     if shocks is None:
         if rng is None:
             raise ValueError("need an rng when shocks are not supplied")
-        shocks = draw_logistic_shocks(rng, n)
+        shocks = rng.logistic(size=(n, n))
     dense = np.zeros((n, n), dtype=np.uint8)
     monotone = gamma >= 0 and spec.monotone
     seen = {dense.tobytes()}

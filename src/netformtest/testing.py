@@ -52,7 +52,6 @@ __all__ = [
     "TestStatisticSpec",
     "conditional_p_value",
     "exact_conditional_critical_values",
-    "locally_best_statistic",
     "score_statistic",
 ]
 
@@ -71,25 +70,13 @@ _NS_DRAW = 0
 _NS_PILOT = 1
 
 
-def locally_best_statistic(
-    d: AdjacencyMatrix,
-    delta: NuisanceParams,
-    spec: StrategicSpec,
-    g: GroupAssignment,
-) -> float:
-    """Score-type statistic: sum over i != j of (d_ij - F(mu_ij)) s_ij(d).
-
-    Large values indicate more arcs than the null predicts exactly where the
-    interaction term s makes arcs more attractive.
-    """
-    return score_statistic(spec, delta, g)(d)
-
-
 def score_statistic(spec: StrategicSpec, delta: NuisanceParams, g: GroupAssignment):
-    """The locally best score against ``spec`` under the null ``delta`` as a
-    function of the network, with the null link probabilities and the
-    off-diagonal mask computed once; it pickles when ``spec.matrix_fn``
-    does."""
+    """The locally best score against ``spec`` under the null ``delta``,
+    sum over i != j of (d_ij - F(mu_ij)) s_ij(d), as a function of the
+    network d.  Large values indicate more arcs than the null predicts
+    exactly where the interaction term s makes arcs more attractive.  The
+    null link probabilities and the off-diagonal mask are computed once; the
+    function pickles when ``spec.matrix_fn`` does."""
     P = _link_probabilities(delta, g)
     off = ~np.eye(g.n_nodes, dtype=bool)
     return partial(_score, P=P, off=off, matrix_fn=spec.matrix_fn)
@@ -235,11 +222,10 @@ class ReferenceDraws:
     draws are ``members``: the whole reference set minus the observed
     network.  Build it with :func:`reference_draws`.
 
-    :meth:`draw` returns draw b as an ``AdjacencyMatrix``.  :meth:`values`
-    hands the statistics each draw as one dense uint8 array instead, made
-    once per draw and read by every statistic: a density draw is built only
-    as that array, a chain draw or enumerated member is unpacked once with
-    ``to_array``.
+    :meth:`draw` returns draw b as one dense uint8 array, which
+    :meth:`values` makes once per draw and hands to every statistic: a
+    density draw is built only as that array, a chain draw or enumerated
+    member is unpacked once with ``to_array``.
     """
 
     observed: AdjacencyMatrix
@@ -250,22 +236,16 @@ class ReferenceDraws:
     seed: Optional[int] = None
     members: tuple[AdjacencyMatrix, ...] = ()
 
-    def draw(self, b: int, stats: ChainStats) -> AdjacencyMatrix:
-        """Draw b; a chain draw adds its step tallies to ``stats``."""
+    def draw(self, b: int, stats: ChainStats) -> np.ndarray:
+        """Draw b as a dense n x n uint8 array; a chain draw adds its step
+        tallies to ``stats``."""
         if self.reference == "enumerated":
-            return self.members[b]
-        if self.reference == "density_only":
-            return AdjacencyMatrix.from_dense(self._array(b, stats))
-        rng = substream_random(self.seed, _NS_DRAW, b)
-        return markov_draw(self.observed, self.g, self.cfg, rng, stats)
-
-    def _array(self, b: int, stats: ChainStats) -> np.ndarray:
-        """Draw b as the dense uint8 array that every statistic reads: a
-        density draw is built only as this array."""
+            return self.members[b].to_array()
         if self.reference == "density_only":
             gen = substream_generator(self.seed, _NS_DRAW, b)
             return _density_only_draw(self.observed.n, self.observed.arc_count(), gen)
-        return self.draw(b, stats).to_array()
+        rng = substream_random(self.seed, _NS_DRAW, b)
+        return markov_draw(self.observed, self.g, self.cfg, rng, stats).to_array()
 
     def values(self, statistics, jobs: int = 1, stop=None) -> tuple[np.ndarray, ChainStats]:
         """Every statistic on every draw, as an (n_draws, len(statistics))
@@ -302,7 +282,7 @@ class ReferenceDraws:
         for b in range(lo, hi):
             if stop is not None and stop(rows):
                 break
-            draw = self._array(b, stats)
+            draw = self.draw(b, stats)
             rows.append([statistic(draw) for statistic in statistics])
         return rows, stats
 
@@ -315,7 +295,8 @@ def reference_draws(
     cfg: Optional[ChainConfig] = None,
     seed: Optional[int] = None,
 ) -> ReferenceDraws:
-    """Check the settings of a reference and make ready its draws.
+    """Check the settings of a reference and make ready its draws, each of
+    which :meth:`ReferenceDraws.draw` returns as a dense uint8 array.
 
     "enumerated" enumerates the reference set now; ``n_draws``, ``cfg`` and
     ``seed`` are then ignored, and so is ``cfg`` for "density_only".  The

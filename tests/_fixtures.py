@@ -15,7 +15,6 @@ import numpy as np
 import netformtest as nt
 from netformtest import harness
 from netformtest._rng import seed_sequence, substream_generator
-from netformtest.graphs import DyadCensus
 from netformtest.model import _link_probabilities, logistic_cdf, systematic_utility
 from netformtest.sampler import ChainStats, StepInfo
 from netformtest.testing import (
@@ -87,7 +86,7 @@ TERM_BOUNDS = {
 
 
 def theorem2_derivative(d, delta, spec, g):
-    """Oracle for ``locally_best_statistic``: the equilibrium likelihood's
+    """Oracle for ``score_statistic``: the equilibrium likelihood's
     derivative in gamma at zero, by the two-case decomposition.
 
     Write F = F(mu_ij), f = F(1-F) for the logistic CDF/density and let
@@ -103,7 +102,7 @@ def theorem2_derivative(d, delta, spec, g):
         sum_{i != j}  d_ij (s_ij - s_lo) f/F  +  (1 - d_ij) (s_hi - s_ij) f/(1-F).
 
     The range bounds cancel only in the total, which equals the one-line
-    form of ``locally_best_statistic``.
+    form of ``score_statistic``.
     """
     off = ~np.eye(d.n, dtype=bool)
     F = _link_probabilities(delta, g)
@@ -274,18 +273,18 @@ def null_in_degree_variance(n):
 
 
 def random_digraph(n, p, rng):
-    d = nt.AdjacencyMatrix.zeros(n)
+    d = nt.AdjacencyMatrix(n)
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < p:
-                d.add_arc(i, j)
+                d.set_arc(i, j, True)
     return d
 
 
 def dense_oracle(array):
     """``AdjacencyMatrix.from_dense`` built entry by entry with ``set_arc``."""
     n = len(array)
-    d = nt.AdjacencyMatrix.zeros(n)
+    d = nt.AdjacencyMatrix(n)
     for i in range(n):
         for j in range(n):
             if array[i][j]:
@@ -301,8 +300,20 @@ def density_draw_oracle(n, n_arcs, gen):
     for pos in positions.tolist():
         i, rem = divmod(pos, n - 1)
         j = rem if rem < i else rem + 1
-        d.add_arc(i, j)
+        d.set_arc(i, j, True)
     return d
+
+
+@dataclass(frozen=True)
+class DyadCensus:
+    """Unordered-dyad counts: mutual, asymmetric, and null (no arc) dyads."""
+
+    mutual: int
+    asymmetric: int
+    null: int
+
+    def total(self) -> int:
+        return self.mutual + self.asymmetric + self.null
 
 
 def dyad_census_oracle(d):
@@ -360,10 +371,10 @@ def brute_force_reference_set(n, s, m, g):
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     keys = []
     for bits in itertools.product((0, 1), repeat=len(pairs)):
-        d = nt.AdjacencyMatrix.zeros(n)
+        d = nt.AdjacencyMatrix(n)
         for (i, j), b in zip(pairs, bits):
             if b:
-                d.add_arc(i, j)
+                d.set_arc(i, j, True)
         if degree_sequence(d) == s and cross_link_matrix(d, g).counts == m.counts:
             keys.append(d.key())
     return sorted(keys)

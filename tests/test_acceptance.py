@@ -48,7 +48,6 @@ from netformtest.cli import main as cli_main
 from netformtest.graphs import cross_link_matrix, degree_sequence, transitivity_index
 from netformtest.harness import table1_calibration
 from netformtest.model import (
-    draw_logistic_shocks,
     logistic_cdf,
     systematic_utility,
 )
@@ -185,7 +184,7 @@ def test_04_score_statistic_equals_the_equilibrium_derivative():
         delta = random_delta(n, K, rng)
         d = random_digraph(n, 0.4, rng)
         spec = nt.strategic_spec(rng.choice(SPEC_KINDS))
-        a = nt.locally_best_statistic(d, delta, spec, g)
+        a = nt.score_statistic(spec, delta, g)(d)
         b = theorem2_derivative(d, delta, spec, g)
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     assert worst <= 1e-10, f"worst scaled deviation {worst:.2e}"
@@ -214,9 +213,7 @@ def test_05_reciprocity_likelihood_matches_score_and_simulation():
             up = exact_reciprocity_likelihood(d, g, delta, h)
             down = dyad_likelihood_oracle(d, g, delta, -h)
             derivative = (up - down) / (2.0 * h) / p0
-            score = nt.locally_best_statistic(
-                d, delta, nt.strategic_spec("reciprocity"), g
-            )
+            score = nt.score_statistic(nt.strategic_spec("reciprocity"), delta, g)(d)
             worst = max(worst, abs(derivative - score) / abs(score))
     assert worst < 1e-4, f"worst relative error {worst:.2e}"
 
@@ -383,7 +380,7 @@ def test_11_simulated_alternatives_are_exact_equilibria():
         delta = random_delta(n, K, rng, scale=0.8)
         gamma = rng.random() * 1.2
         spec = nt.strategic_spec(rng.choice(SPEC_KINDS))
-        shocks = draw_logistic_shocks(rng_np, n)
+        shocks = rng_np.logistic(size=(n, n))
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
         assert is_equilibrium(d, delta, gamma, spec, g, shocks)
 

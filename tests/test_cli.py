@@ -6,6 +6,7 @@ Every CLI contract under test comes in pairs: artifacts on disk plus the
 provenance manifest.
 """
 
+import ast
 import csv
 import importlib.metadata
 import json
@@ -608,6 +609,52 @@ def test_unread_network_inputs_exit_3(tmp_path, capsys, interior12):
         assert "need at least one node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, entry",
+    [("sender", None), ("sender", float("nan")), ("receiver", float("inf")),
+     ("mixing", float("-inf"))],
+    ids=["sender-null", "sender-nan", "receiver-inf", "mixing-neg-inf"],
+)
+def test_non_finite_parameters_exit_3(tmp_path, capsys, field, entry):
+    raw = {
+        "sender": [0.5, -0.3, 0.1, -0.2],
+        "receiver": [0.2, 0.0, -0.1, -0.1],
+        "mixing": [[0.0, 0.0], [0.0, 0.4]],
+        "groups": [0, 0, 1, 1],
+    }
+    if field == "mixing":
+        raw["mixing"][1][1] = entry
+    else:
+        raw[field][1] = entry
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(raw))
+    code = main(["simulate", "--params", str(params), "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert code == 3
+    assert f"{field} has an entry that is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "edges.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, n",
+    [([], 10), (["--reference", "density"], 10), (["--n-nodes", "14"], 14)],
+    ids=["chain", "density", "more-nodes"],
+)
+def test_provided_parameters_must_cover_the_network_nodes(tmp_path, capsys, interior12, flags, n):
+    _, _, edges, nodes = interior12
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--edges", str(edges), "--nodes", str(nodes),
+                 "--out", str(fit_dir), "--seed", "1"]) == 0
+    capsys.readouterr()
+    write_edges(tmp_path / "edges10.csv", [(i, (i + k) % 10) for i in range(10) for k in (1, 3)])
+    code = main(
+        ["test", "--edges", str(tmp_path / "edges10.csv"), "--draws", "5"]
+        + ["--delta-source", "provided", "--params", str(fit_dir / "params.json"), *flags]
+        + ["--out", str(tmp_path / "t"), "--seed", "1"]
+    )
+    assert code == 3
+    assert f"covers 12 nodes, but the network from --edges has {n}" in capsys.readouterr().err
+
+
 def test_node_count_beside_a_node_file_must_match_it(tmp_path, capsys, interior12):
     _, _, edges, nodes = interior12
     network = ["--edges", str(edges), "--nodes", str(nodes)]
@@ -761,6 +808,29 @@ def test_package_version_is_the_project_version():
         assert tomllib.load(fh)["project"]["version"] == nt.__version__
 
 
+def test_every_exported_name_is_documented_or_read_by_the_package():
+    # A module's public name that neither the top level documents nor any
+    # package code reads belongs with the tests, not in the runtime API.
+    # Names in __all__ lists and docstrings are strings, so they are no reads.
+    src = Path(netformtest.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"netformtest.{stem}.{name}"
+        for stem in trees
+        if stem != "__init__"
+        for name in getattr(importlib.import_module(f"netformtest.{stem}"), "__all__", ())
+        if name not in nt.__all__ and name not in read
+    ]
+    assert unread == []
+
+
 def test_package_import_leaves_the_cli_and_pool_modules_unloaded():
     # The command line's and the worker pools' modules load only when used.
     src = str(Path(netformtest.__file__).resolve().parents[1])
@@ -833,7 +903,7 @@ DOCUMENTED_API = {
     "TestStatisticSpec",
     "conditional_p_value",
     "exact_conditional_critical_values",
-    "locally_best_statistic",
+    "score_statistic",
     "ExperimentConfig",
     "run_experiment",
     "study_population",

@@ -20,7 +20,6 @@ from netformtest.model import (
     _SPECS,
     _free_information,
     _null_gradient,
-    draw_logistic_shocks,
     logistic_cdf,
     systematic_utility,
 )
@@ -62,7 +61,7 @@ def interior_digraph(n, K, p, seed):
         degs = d.out_degrees() + d.in_degrees()
         if any(x in (0, n - 1) for x in degs):
             continue
-        m = cross_link_matrix(d, g).as_array()
+        m = np.array(cross_link_matrix(d, g).counts)
         sizes = np.bincount(np.asarray(g.codes), minlength=K)
         caps = sizes[:, None] * sizes[None, :] - np.diag(sizes)
         if ((m == 0) & (caps > 0)).any() or (m == caps).any():
@@ -499,10 +498,13 @@ def test_mle_validates_group_shape():
 
 
 def test_logistic_shocks_follow_the_logistic_law():
-    rng = np.random.default_rng(17)
-    shocks = draw_logistic_shocks(rng, 200)
-    assert shocks.shape == (200, 200)
+    shocks = np.random.default_rng(17).logistic(size=(200, 200))
     assert sps.kstest(shocks.ravel(), "logistic").pvalue > 0.01
+    # simulate_null draws exactly these shocks from its generator.
+    delta = nt.NuisanceParams(np.zeros(200), np.zeros(200), np.zeros((1, 1)))
+    g = nt.GroupAssignment.single_group(200)
+    drawn = nt.simulate_null(delta, g, np.random.default_rng(17))
+    assert drawn == nt.simulate_null(delta, g, shocks=shocks)
 
 
 def test_simulate_null_thresholds_shocks_against_utilities():
@@ -546,7 +548,7 @@ def test_zero_interaction_reproduces_the_null_simulator_exactly():
         K = rng.choice([1, 2])
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng)
-        shocks = draw_logistic_shocks(np.random.default_rng(trial), n)
+        shocks = np.random.default_rng(trial).logistic(size=(n, n))
         base = nt.simulate_null(delta, g, shocks=shocks)
         for kind in ("reciprocity", "transitivity", "customer_product"):
             spec = nt.strategic_spec(kind)
@@ -564,7 +566,7 @@ def test_positive_interaction_output_is_an_equilibrium_superset_of_null():
         gamma = rng.choice([0.1, 0.5, 2.0])
         kind = rng.choice(["reciprocity", "transitivity", "customer_product"])
         spec = nt.strategic_spec(kind)
-        shocks = draw_logistic_shocks(np.random.default_rng(100 + trial), n)
+        shocks = np.random.default_rng(100 + trial).logistic(size=(n, n))
         d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
         assert is_equilibrium(d, delta, gamma, spec, g, shocks)
         base = set(nt.simulate_null(delta, g, shocks=shocks).arcs())
@@ -576,7 +578,7 @@ def test_equilibrium_check_fails_after_tampering():
     g = nt.GroupAssignment.single_group(n)
     delta = nt.NuisanceParams(np.zeros(n), np.zeros(n), np.zeros((1, 1)))
     spec = nt.strategic_spec("reciprocity")
-    shocks = draw_logistic_shocks(np.random.default_rng(23), n)
+    shocks = np.random.default_rng(23).logistic(size=(n, n))
     d = nt.simulate_alternative(delta, 0.7, spec, g, shocks=shocks)
     assert is_equilibrium(d, delta, 0.7, spec, g, shocks)
     d.set_arc(0, 1, not d.has_arc(0, 1))
@@ -612,7 +614,7 @@ def test_negative_interaction_converges_when_a_fixed_point_exists():
 def test_simulate_alternative_refuses_a_non_finite_gamma(gamma):
     delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
     g = nt.GroupAssignment.single_group(3)
-    shocks = draw_logistic_shocks(np.random.default_rng(29), 3)
+    shocks = np.random.default_rng(29).logistic(size=(3, 3))
     for kind in ("reciprocity", "transitivity", "customer_product"):
         spec = nt.strategic_spec(kind)
         with pytest.raises(ValueError, match="gamma must be finite"):

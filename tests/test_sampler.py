@@ -288,10 +288,10 @@ def test_switch_preserves_degrees_and_shifts_cross_counts_by_violation():
         if s.cycle is None:
             continue
         deg = degree_sequence(d)
-        m = cross_link_matrix(d, g).as_array()
+        m = np.array(cross_link_matrix(d, g).counts)
         switch_cycle(d, cycle_arcs(s))
         assert degree_sequence(d) == deg
-        assert np.array_equal(cross_link_matrix(d, g).as_array(), m + s.violation)
+        assert np.array_equal(np.array(cross_link_matrix(d, g).counts), m + s.violation)
 
 
 def test_switch_undone_by_reversed_flag_flipped_cycle():
@@ -936,7 +936,7 @@ def test_frozen_reference_sets_raise():
         mixing_time_heuristic(complete, g, r=10.0, rng=random.Random(3))
     with pytest.raises(FrozenChainError):
         mixing_time_heuristic(
-            nt.AdjacencyMatrix.zeros(3),
+            nt.AdjacencyMatrix(3),
             nt.GroupAssignment.single_group(3),
             r=10.0,
             rng=random.Random(3),
@@ -996,7 +996,7 @@ def test_enumerated_members_satisfy_all_constraints():
 
 
 def test_empty_and_complete_graphs_enumerate_to_singletons():
-    empty = nt.AdjacencyMatrix.zeros(4)
+    empty = nt.AdjacencyMatrix(4)
     complete = nt.from_edge_list(
         [(i, j) for i in range(4) for j in range(4) if i != j], 4
     )
@@ -1033,11 +1033,11 @@ def test_inconsistent_margins_enumerate_to_nothing():
 
 def test_enumeration_validates_shapes_and_size():
     g = nt.GroupAssignment.single_group(7)
-    d = nt.AdjacencyMatrix.zeros(7)
+    d = nt.AdjacencyMatrix(7)
     with pytest.raises(ValueError, match="42"):
         enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
     g6 = nt.GroupAssignment.single_group(6)
-    d6 = nt.AdjacencyMatrix.zeros(6)
+    d6 = nt.AdjacencyMatrix(6)
     assert len(enumerate_reference_set(degree_sequence(d6), cross_link_matrix(d6, g6), g6)) == 1
     with pytest.raises(ValueError, match="group assignment"):
         enumerate_reference_set(
