@@ -35,12 +35,9 @@ from .graphs import (
     AdjacencyMatrix,
     DataError,
     GroupAssignment,
-    cross_link_matrix,
-    degree_sequence,
     from_edge_list,
     read_edge_csv,
     read_node_csv,
-    write_edge_csv,
 )
 from .harness import ExperimentConfig, run_experiment, table1_calibration
 from .model import (
@@ -279,7 +276,8 @@ def _cmd_simulate(args, ctx: _RunContext) -> dict:
     else:
         spec = strategic_spec(_SPEC_OF[args.spec])
         d = simulate_alternative(delta, args.gamma, spec, g, rng)
-    write_edge_csv(ctx.outdir / "edges.csv", d, args.index_base)
+    arcs = [(i, j) for _, i, j in _arc_rows([d], args.index_base)]
+    _write_csv(ctx.outdir / "edges.csv", ["source", "target"], arcs)
     print(f"simulated network with {d.arc_count()} arcs on {d.n} nodes")
     return {
         "params": str(args.params),
@@ -298,13 +296,22 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
         if not args.params:
             raise DataError("--delta-source provided requires --params")
         delta, g_params = _load_params(args.params, ctx)
-        if not args.nodes:
-            if g_params.n_nodes != d.n:
-                raise DataError(
-                    f"{args.params} covers {g_params.n_nodes} nodes, but the "
-                    f"network from --edges has {d.n}"
-                )
-            g = g_params
+        if g_params.n_nodes != d.n:
+            raise DataError(
+                f"{args.params} covers {g_params.n_nodes} nodes, but the "
+                f"network from --edges has {d.n}"
+            )
+        if args.nodes:
+            # Both files must make the same partition, whatever its codes;
+            # mixing is indexed by the codes of the parameter file.
+            to_params, to_nodes = {}, {}
+            for i, (a, b) in enumerate(zip(g.codes, g_params.codes)):
+                if to_params.setdefault(a, b) != b or to_nodes.setdefault(b, a) != a:
+                    raise DataError(
+                        f"{args.params} and {args.nodes} disagree on the group "
+                        f"of node {i + args.index_base}"
+                    )
+        g = g_params
     elif args.params:
         raise DataError("--params is read only with --delta-source provided")
     spec = args.spec
@@ -420,7 +427,7 @@ def _cmd_mc_experiment(args, ctx: _RunContext) -> dict:
 
 def _cmd_enumerate(args, ctx: _RunContext) -> dict:
     d, g = _load_network(args, ctx)
-    members = enumerate_reference_set(degree_sequence(d), cross_link_matrix(d, g), g)
+    members = enumerate_reference_set(d, g)
     summary = {
         "n_nodes": d.n,
         "arc_count": d.arc_count(),

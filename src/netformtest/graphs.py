@@ -22,18 +22,14 @@ import numpy as np
 __all__ = [
     "AdjacencyMatrix",
     "GroupAssignment",
-    "DegreeSequence",
-    "CrossLinkMatrix",
     "DataError",
     "DuplicateArcWarning",
     "from_edge_list",
-    "degree_sequence",
     "cross_link_matrix",
     "reciprocity_index",
     "transitivity_index",
     "read_edge_csv",
     "read_node_csv",
-    "write_edge_csv",
 ]
 
 
@@ -143,17 +139,6 @@ class AdjacencyMatrix:
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
-    def arcs(self) -> list[tuple[int, int]]:
-        """All present arcs as (source, target), row-major order."""
-        out = []
-        for i, row in enumerate(self.rows):
-            rest = row
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                out.append((i, j))
-                rest &= rest - 1
-        return out
-
     def out_degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
 
@@ -254,32 +239,6 @@ class GroupAssignment:
         return cls((0,) * n, 1)
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    out_degrees: tuple[int, ...]
-    in_degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.out_degrees) != len(self.in_degrees):
-            raise ValueError("out/in degree lengths differ")
-        if sum(self.out_degrees) != sum(self.in_degrees):
-            raise ValueError("arc conservation violated: sum(out) != sum(in)")
-
-
-@dataclass(frozen=True)
-class CrossLinkMatrix:
-    """Arc counts between group pairs: counts[k][l] = #{i->j : g(i)=k, g(j)=l}."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.counts)
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-
 def from_edge_list(edges, n: int) -> AdjacencyMatrix:
     """Build an adjacency matrix from (source, target) pairs on nodes 0..n-1.
 
@@ -306,22 +265,16 @@ def from_edge_list(edges, n: int) -> AdjacencyMatrix:
     return d
 
 
-def degree_sequence(d: AdjacencyMatrix) -> DegreeSequence:
-    """Out- and in-degree vectors, recomputed from the bitmasks."""
-    return DegreeSequence(tuple(d.out_degrees()), tuple(d.in_degrees()))
-
-
-def cross_link_matrix(d: AdjacencyMatrix, g: GroupAssignment) -> CrossLinkMatrix:
-    """Count arcs from each group to each group (diagonal blocks included)."""
+def cross_link_matrix(d: AdjacencyMatrix, g: GroupAssignment) -> tuple[tuple[int, ...], ...]:
+    """K x K arc counts between groups: entry [k][l] counts the arcs i->j with
+    i in group k and j in group l (diagonal blocks included)."""
     if g.n_nodes != d.n:
         raise ValueError("group assignment does not match node count")
     rows = d.rows
     masks = g.masks
-    return CrossLinkMatrix(
-        tuple(
-            tuple(sum([(rows[i] & mask).bit_count() for i in group]) for mask in masks)
-            for group in g.members
-        )
+    return tuple(
+        tuple(sum([(rows[i] & mask).bit_count() for i in group]) for mask in masks)
+        for group in g.members
     )
 
 
@@ -426,11 +379,3 @@ def read_node_csv(path, index_base: int = 0) -> tuple[int, GroupAssignment]:
             f"{path}: node ids must cover {index_base}..{index_base + n - 1} exactly"
         )
     return n, GroupAssignment.from_labels([labels[i] for i in range(n)])
-
-
-def write_edge_csv(path, d: AdjacencyMatrix, index_base: int = 0) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target"])
-        for i, j in d.arcs():
-            writer.writerow([i + index_base, j + index_base])

@@ -270,7 +270,7 @@ def _degenerate_margins(d: AdjacencyMatrix, g: GroupAssignment) -> list[str]:
         bits.append(f"nodes with no incoming arcs: {empty_in}")
     if full_in:
         bits.append(f"nodes receiving from everyone: {full_in}")
-    counts = cross_link_matrix(d, g).counts
+    counts = cross_link_matrix(d, g)
     sizes = np.bincount(np.asarray(g.codes), minlength=g.n_groups)
     for k in range(g.n_groups):
         for l in range(g.n_groups):

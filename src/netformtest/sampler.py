@@ -66,12 +66,7 @@ import numbers
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
 
-from .graphs import (
-    AdjacencyMatrix,
-    CrossLinkMatrix,
-    DegreeSequence,
-    GroupAssignment,
-)
+from .graphs import AdjacencyMatrix, GroupAssignment, cross_link_matrix
 
 __all__ = [
     "ChainConfig",
@@ -569,33 +564,23 @@ def check_enumerable(n: int) -> None:
         )
 
 
-def enumerate_reference_set(
-    s: DegreeSequence, m: CrossLinkMatrix, g: GroupAssignment
-) -> list[AdjacencyMatrix]:
-    """All digraphs with the given degree sequence and cross-link counts.
+def enumerate_reference_set(d: AdjacencyMatrix, g: GroupAssignment) -> list[AdjacencyMatrix]:
+    """The reference set of ``d`` under grouping ``g``: every digraph with the
+    out-degrees, in-degrees and cross-group arc counts of ``d``, ``d`` among
+    them.
 
     Row-by-row backtracking with column-demand pruning; deterministic order.
     Only small problems are accepted (n*(n-1) <= 30, i.e. n <= 6): the
     reference set grows combinatorially and exhaustive enumeration beyond
-    that is not meaningful.  Inconsistent inputs yield an empty list.
+    that is not meaningful.  A ``g`` over another node count is refused.
     """
-    n = len(s.out_degrees)
+    n = d.n
     check_enumerable(n)
-    if g.n_nodes != n:
-        raise ValueError("group assignment does not match degree sequence length")
-    if m.n_groups != g.n_groups:
-        raise ValueError("cross-link matrix does not match group count")
-    out_deg = s.out_degrees
-    total = sum(out_deg)
-    if m.total() != total:
-        return []
-    if any(deg > n - 1 for deg in out_deg) or any(deg > n - 1 for deg in s.in_degrees):
-        return []
-
     codes = g.codes
     K = g.n_groups
-    col_need = list(s.in_degrees)
-    block_need = [list(row) for row in m.counts]
+    out_deg = d.out_degrees()
+    col_need = d.in_degrees()
+    block_need = [list(row) for row in cross_link_matrix(d, g)]
     rows_acc = [0] * n
     results: list[AdjacencyMatrix] = []
 

@@ -27,8 +27,6 @@ from ._rng import substream_generator, substream_random
 from .graphs import (
     AdjacencyMatrix,
     GroupAssignment,
-    cross_link_matrix,
-    degree_sequence,
     reciprocity_index,
     transitivity_index,
 )
@@ -298,22 +296,22 @@ def reference_draws(
     """Check the settings of a reference and make ready its draws, each of
     which :meth:`ReferenceDraws.draw` returns as a dense uint8 array.
 
-    "enumerated" enumerates the reference set now; ``n_draws``, ``cfg`` and
-    ``seed`` are then ignored, and so is ``cfg`` for "density_only".  The
-    chain references walk as ``cfg`` says, ``ChainConfig()`` when it is
-    None.  A pilot-tuned ``cfg`` (``tau`` None) is resolved here, once, by
-    :func:`mixing_time_heuristic`: the exact expected trade moves of the
-    observed network, weighted by ``cfg.q``, and a pilot of cycle attempts on
-    the substream (seed, pilot-namespace), weighted by 1 - ``cfg.q``, set tau
-    so that each arc is modified about ``cfg.mixing_r`` times per draw, and
-    the draws take ``ChainConfig(tau, cfg.q, cfg.mixing_r)``.
+    "enumerated" enumerates the reference set of ``observed`` under ``g`` now,
+    and its draws are the members other than ``observed``; ``n_draws``,
+    ``cfg`` and ``seed`` are then ignored, and so is ``cfg`` for
+    "density_only".  The chain references walk as ``cfg`` says,
+    ``ChainConfig()`` when it is None.  A pilot-tuned ``cfg`` (``tau`` None)
+    is resolved here, once, by :func:`mixing_time_heuristic`: the exact
+    expected trade moves of the observed network, weighted by ``cfg.q``, and
+    a pilot of cycle attempts on the substream (seed, pilot-namespace),
+    weighted by 1 - ``cfg.q``, set tau so that each arc is modified about
+    ``cfg.mixing_r`` times per draw, and the draws take
+    ``ChainConfig(tau, cfg.q, cfg.mixing_r)``.
     """
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
     if reference == "enumerated":
-        members = enumerate_reference_set(
-            degree_sequence(observed), cross_link_matrix(observed, g), g
-        )
+        members = enumerate_reference_set(observed, g)
         obs_key = observed.key()
         others = tuple(d for d in members if d.key() != obs_key)
         if len(others) == len(members):

@@ -272,6 +272,11 @@ def null_in_degree_variance(n):
     )
 
 
+def arcs_of(d):
+    """Every arc of ``d`` as (source, target), in row-major order."""
+    return [(i, j) for i in range(d.n) for j in range(d.n) if d.has_arc(i, j)]
+
+
 def random_digraph(n, p, rng):
     d = nt.AdjacencyMatrix(n)
     for i in range(n):
@@ -364,19 +369,26 @@ def random_groups(n, K, rng):
             return nt.GroupAssignment(codes, K)
 
 
-def brute_force_reference_set(n, s, m, g):
-    """Exhaustive scan over all 2^(n(n-1)) digraphs; the enumeration oracle."""
-    from netformtest.graphs import cross_link_matrix, degree_sequence
+def brute_force_reference_set(d, g):
+    """Exhaustive scan over all 2^(n(n-1)) digraphs; the enumeration oracle.
 
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    Keeps those whose row sums, column sums and group blocks Z^T A Z (Z the
+    n x K group indicator) equal those of ``d``, all on dense arrays.
+    """
+    n = d.n
+    z = np.eye(g.n_groups, dtype=int)[list(g.codes)]
+
+    def margins(a):
+        return a.sum(axis=1), a.sum(axis=0), z.T @ a @ z
+
+    target = margins(np.asarray(d, dtype=int))
+    off_diagonal = ~np.eye(n, dtype=bool)
     keys = []
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        d = nt.AdjacencyMatrix(n)
-        for (i, j), b in zip(pairs, bits):
-            if b:
-                d.set_arc(i, j, True)
-        if degree_sequence(d) == s and cross_link_matrix(d, g).counts == m.counts:
-            keys.append(d.key())
+    for bits in itertools.product((0, 1), repeat=n * (n - 1)):
+        a = np.zeros((n, n), dtype=int)
+        a[off_diagonal] = bits
+        if all(map(np.array_equal, margins(a), target)):
+            keys.append(nt.AdjacencyMatrix.from_dense(a).key())
     return sorted(keys)
 
 

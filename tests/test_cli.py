@@ -26,7 +26,7 @@ from netformtest.cli import main
 from netformtest.graphs import transitivity_index
 from netformtest.model import logistic_cdf
 
-from _fixtures import CHAIN_FIXTURES, build_fixture, fittable_network
+from _fixtures import CHAIN_FIXTURES, arcs_of, build_fixture, fittable_network
 
 N4_CYCLE = CHAIN_FIXTURES[0]
 N4_K2 = CHAIN_FIXTURES[2]
@@ -59,7 +59,7 @@ def interior12(tmp_path_factory):
     """A 12-node two-group network whose null MLE exists, written to disk."""
     d, g = fittable_network()
     root = tmp_path_factory.mktemp("interior12")
-    write_edges(root / "edges.csv", d.arcs())
+    write_edges(root / "edges.csv", arcs_of(d))
     write_nodes(root / "nodes.csv", g.codes)
     return d, g, root / "edges.csv", root / "nodes.csv"
 
@@ -653,6 +653,36 @@ def test_provided_parameters_must_cover_the_network_nodes(tmp_path, capsys, inte
     )
     assert code == 3
     assert f"covers 12 nodes, but the network from --edges has {n}" in capsys.readouterr().err
+
+
+def test_provided_parameters_must_group_the_nodes_as_the_node_file_does(tmp_path, capsys, interior12):
+    _, g, edges, nodes = interior12
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--edges", str(edges), "--nodes", str(nodes),
+                 "--out", str(fit_dir), "--seed", "1"]) == 0
+    capsys.readouterr()
+
+    def run_test(node_file, out):
+        return main(
+            ["test", "--edges", str(edges), "--nodes", str(node_file), "--draws", "5"]
+            + ["--tau", "5", "--delta-source", "provided"]
+            + ["--params", str(fit_dir / "params.json"), "--out", str(out), "--seed", "1"]
+        )
+
+    # Nodes 0-5 moved to the other group: codes 0, 0, 1, 1, 0, 1 pair the two
+    # groups crosswise, so node 6, left in group 0, is the first to disagree.
+    write_nodes(tmp_path / "moved.csv", [1 - c for c in g.codes[:6]] + list(g.codes[6:]))
+    assert run_test(tmp_path / "moved.csv", tmp_path / "moved") == 3
+    assert "disagree on the group of node 6" in capsys.readouterr().err
+    assert not (tmp_path / "moved" / "result.json").exists()
+
+    # The same partition under labels that sort the other way round is read
+    # with the codes of the parameter file, so the result does not change.
+    write_nodes(tmp_path / "relabelled.csv", [1 - c for c in g.codes])
+    assert run_test(nodes, tmp_path / "same") == 0
+    assert run_test(tmp_path / "relabelled.csv", tmp_path / "relabelled") == 0
+    same = (tmp_path / "same" / "result.json").read_bytes()
+    assert (tmp_path / "relabelled" / "result.json").read_bytes() == same
 
 
 def test_node_count_beside_a_node_file_must_match_it(tmp_path, capsys, interior12):

@@ -17,12 +17,7 @@ import pytest
 import netformtest as nt
 from netformtest import model, testing
 from netformtest._rng import substream_generator, substream_random
-from netformtest.graphs import (
-    cross_link_matrix,
-    degree_sequence,
-    reciprocity_index,
-    transitivity_index,
-)
+from netformtest.graphs import reciprocity_index, transitivity_index
 from netformtest.model import systematic_utility
 from netformtest.sampler import ChainConfig, ChainStats
 from netformtest.testing import (
@@ -36,6 +31,7 @@ from netformtest.testing import (
 
 from _fixtures import (
     CHAIN_FIXTURES,
+    arcs_of,
     build_fixture,
     density_draw_oracle,
     dyad_likelihood_oracle,
@@ -401,9 +397,7 @@ def test_enumerated_p_value_is_the_exact_tail():
     d, g, _ = build_fixture(CHAIN_FIXTURES[2])
     stat = nt.TestStatisticSpec(kind="reciprocity_index")
     res = nt.conditional_p_value(d, g, stat, reference="enumerated")
-    members = nt.enumerate_reference_set(
-        degree_sequence(d), cross_link_matrix(d, g), g
-    )
+    members = nt.enumerate_reference_set(d, g)
     observed = reciprocity_index(d)
     others = [reciprocity_index(m) for m in members if m.key() != d.key()]
     assert res.n_draws == len(others) == len(members) - 1
@@ -652,7 +646,8 @@ def test_density_only_draws_are_uniform_over_arc_placements():
         draw = nt.AdjacencyMatrix.from_dense(
             _density_only_draw(n, n_arcs, substream_generator(73, 0, b))
         )
-        counts[tuple(sorted(draw.arcs()))] = counts.get(tuple(sorted(draw.arcs())), 0) + 1
+        key = tuple(sorted(arcs_of(draw)))
+        counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 15  # C(6, 2) possible placements
     expected = n_draws / 15
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -690,9 +685,7 @@ def test_finer_conditioning_absorbs_homophily_induced_transitivity():
 
 def test_critical_values_make_exact_size_on_the_reference_set():
     d, g, _ = build_fixture(CHAIN_FIXTURES[2])
-    members = nt.enumerate_reference_set(
-        degree_sequence(d), cross_link_matrix(d, g), g
-    )
+    members = nt.enumerate_reference_set(d, g)
     delta = nt.NuisanceParams(
         np.full(4, -0.3), np.linspace(-0.5, 0.5, 4), np.array([[0.0, 0.4], [-0.4, 0.0]])
     )
@@ -714,9 +707,7 @@ def test_critical_values_make_exact_size_on_the_reference_set():
 def test_critical_values_handle_ties_in_the_support():
     d, g, _ = build_fixture(CHAIN_FIXTURES[0])
     stat = nt.TestStatisticSpec(kind="reciprocity_index")
-    members = nt.enumerate_reference_set(
-        degree_sequence(d), cross_link_matrix(d, g), g
-    )
+    members = nt.enumerate_reference_set(d, g)
     values = [reciprocity_index(m) for m in members]  # 6 zeros and 3 ones
     for alpha in (0.1, 1 / 3, 0.75):
         cv = nt.exact_conditional_critical_values(d, g, stat, alpha)
@@ -774,9 +765,7 @@ def exact_test_statistics(entry, seed):
 @pytest.mark.parametrize("index", range(len(CHAIN_FIXTURES)))
 def test_exact_rule_has_size_alpha_is_monotone_and_randomizes_once(index):
     d, g, _ = build_fixture(CHAIN_FIXTURES[index])
-    members = nt.enumerate_reference_set(
-        degree_sequence(d), cross_link_matrix(d, g), g
-    )
+    members = nt.enumerate_reference_set(d, g)
     for stat, function in exact_test_statistics(CHAIN_FIXTURES[index], 90 + index):
         values = [function(m) for m in members]
         support = sorted(set(values))
@@ -803,9 +792,7 @@ def test_exact_rule_rejects_where_the_enumerated_p_value_does(index):
     rule: where its p-value is at most alpha the rule rejects surely, and
     where the rule never rejects the p-value exceeds alpha."""
     d, g, _ = build_fixture(CHAIN_FIXTURES[index])
-    members = nt.enumerate_reference_set(
-        degree_sequence(d), cross_link_matrix(d, g), g
-    )
+    members = nt.enumerate_reference_set(d, g)
     for stat, function in exact_test_statistics(CHAIN_FIXTURES[index], 90 + index):
         rules = [nt.exact_conditional_critical_values(d, g, stat, a) for a in EXACT_ALPHAS]
         for m in members:

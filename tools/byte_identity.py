@@ -73,6 +73,10 @@ def commands() -> list[tuple[str, list[str]]]:
             ["sample", *NET, "--draws", "20", "--q", "0", "--tau-auto", "2"],
         ),
         ("enumerate", ["enumerate", *TINY, "--write-members"]),
+        (
+            "enumerate_one_group",
+            ["enumerate", "--edges", "inputs/tiny_edges.csv", "--write-members"],
+        ),
     ]
     for statistic in ("locally-best", "ti", "reciprocity"):
         for reference in ("density", "degree", "degree-crosslink"):
@@ -105,6 +109,11 @@ def commands() -> list[tuple[str, list[str]]]:
             ["test", *NET, "--draws", "20", "--q", "0.2", "--tau-auto", "2", "--jobs", "2"],
         ),
         ("test_enumerated", ["test", *TINY, "--statistic", "ti", "--reference", "enumerated"]),
+        (
+            "test_enumerated_one_group",
+            ["test", "--edges", "inputs/tiny_edges.csv", "--statistic", "ti",
+             "--reference", "enumerated"],
+        ),
         (
             "test_enumerated_reciprocity",
             ["test", *TINY, "--statistic", "reciprocity", "--reference", "enumerated"],
