@@ -522,16 +522,17 @@ def _add_chain_options(p: argparse.ArgumentParser) -> None:
         help=(
             "tune tau to modify each arc about R times per draw, by trades and "
             "cycle switches together: exact expected trade moves plus a "
-            "cycle-switch pilot (ignored with --tau)"
+            "cycle-switch pilot, 37 attempts at the default --q (ignored with --tau)"
         ),
     )
     p.add_argument(
         "--q",
         type=float,
-        default=0.5,
+        default=ChainConfig.q,
         help=(
             "same-group trade probability of each chain step, which also weights "
-            "the trade and cycle-switch rates of --tau-auto; must lie in [0, 1)"
+            "the trade and cycle-switch rates of --tau-auto; must lie in [0, 1) "
+            "(default: %(default)s)"
         ),
     )
 

@@ -130,7 +130,8 @@ class ExperimentConfig:
 
     ``mixing_r`` is the average number of times each arc should be modified
     between reference draws (the power-study protocol uses 1; data analyses
-    use 10).  ``statistics`` may contain "locally_best_fitted"
+    use 10), and ``q`` the chain's trade share, by default
+    :class:`ChainConfig`'s.  ``statistics`` may contain "locally_best_fitted"
     (nuisance parameters re-estimated per replication),
     "locally_best_true" (the infeasible variant using the generating
     parameters), and the index statistics of ``testing.INDEX_STATISTICS``.
@@ -149,7 +150,7 @@ class ExperimentConfig:
     )
     reference: str = "degree_and_crosslink"
     mixing_r: float = 1.0
-    q: float = 0.5
+    q: float = ChainConfig.q
 
     def __post_init__(self):
         for key, kind, name in (

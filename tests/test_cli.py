@@ -9,6 +9,7 @@ provenance manifest.
 import ast
 import csv
 import importlib.metadata
+import inspect
 import json
 import os
 import pkgutil
@@ -237,6 +238,15 @@ def test_test_and_sample_tune_and_draw_the_same_walk(tmp_path, interior12, q):
     ]
     _, null_rows = read_csv_rows(test_out / "null_draws.csv")
     assert [float(r["value"]) for r in null_rows] == expected
+
+
+def test_every_walk_default_reads_the_chain_configs_trade_share():
+    default = nt.ChainConfig().q
+    assert inspect.signature(nt.mixing_time_heuristic).parameters["q"].default == default
+    assert nt.ExperimentConfig().q == default
+    parser = netformtest.cli.get_parser()
+    for subcommand in ("test", "sample"):
+        assert parser.parse_args([subcommand, "--edges", "e.csv"]).q == default
 
 
 # -- fit -------------------------------------------------------------------------

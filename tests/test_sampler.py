@@ -514,7 +514,7 @@ def test_chain_config_validation():
 
 def test_default_chain_config_is_pilot_tuned_and_markov_draw_refuses_it():
     d, g, _ = build_fixture(CHAIN_FIXTURES[0])
-    assert ChainConfig() == ChainConfig(None, 0.5, 10.0)
+    assert ChainConfig() == ChainConfig(None, 0.8, 10.0)
     with pytest.raises(ValueError, match="tau is None"):
         markov_draw(d, g, ChainConfig(), random.Random(1))
 
@@ -890,7 +890,10 @@ def test_heuristic_solves_the_flip_rate_equation():
 
 @pytest.mark.parametrize(
     "q, steps",
-    [(0.0, 1000), (0.15, 1000), (0.2, 600), (0.3, 350), (0.5, 150), (0.7, 64), (0.9995, 1)],
+    [
+        (0.0, 1000), (0.15, 1000), (0.2, 600), (0.3, 350), (0.5, 150), (0.7, 64), (0.8, 37),
+        (0.9995, 1),
+    ],
 )
 def test_pilot_runs_only_cycle_attempts(q, steps):
     # The pilot is 1000 cycle attempts for q <= 0.15 and otherwise
@@ -918,6 +921,17 @@ def test_cycle_pilot_tunes_the_directed_three_cycle():
     assert _expected_trade_flips(d, g) == 0.0
     tau = mixing_time_heuristic(d, g, r=10.0, q=0.5, rng=random.Random(3))
     assert 1 <= tau < math.inf
+
+
+def test_cycle_pilot_tunes_the_directed_three_cycle_at_the_default_share():
+    # At the default q = 0.8 the pilot is only round(150 * (1 - q) / q) = 37
+    # cycle attempts (1 - q is just below 0.2 in floating point), and they
+    # alone can move the 3-cycle; each seed's pilot must still switch it.
+    d = nt.from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
+    g = nt.GroupAssignment.single_group(3)
+    for seed in range(200):
+        tau = mixing_time_heuristic(d, g, r=10.0, rng=random.Random(seed))
+        assert 1 <= tau < math.inf
 
 
 def test_frozen_reference_sets_raise():

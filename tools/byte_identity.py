@@ -40,7 +40,11 @@ EXPERIMENT = ["--n-nodes", "24", "--n-reps", "6", "--n-draws", "19", "--gammas",
 
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) in run order; later commands may read the
-    outputs of earlier ones."""
+    outputs of earlier ones.  The commands whose names end in ``q0.5`` give
+    the trade share 0.5 explicitly, so that across a change of the default
+    share their outputs can be compared with the default-share outputs of the
+    older tree: ``sample_groups``, ``test_pilot_tuned`` and
+    ``mc_degree-crosslink_jobs1``."""
     cmds = [
         ("calibrate", ["calibrate"]),
         ("fit", ["fit", *NET]),
@@ -63,6 +67,7 @@ def commands() -> list[tuple[str, list[str]]]:
              "--spec", "customer-product"],
         ),
         ("sample_groups", ["sample", *NET, *CHAIN]),
+        ("sample_groups_q0.5", ["sample", *NET, *CHAIN, "--q", "0.5"]),
         ("sample_one_group", ["sample", "--edges", "inputs/edges.csv", "--draws", "20"]),
         (
             "sample_pilot_tuned_q0.9",
@@ -105,6 +110,10 @@ def commands() -> list[tuple[str, list[str]]]:
         ("test_q0", ["test", *NET, *CHAIN, "--q", "0"]),
         ("test_pilot_tuned", ["test", *NET, "--draws", "20", "--tau-auto", "2"]),
         (
+            "test_pilot_tuned_q0.5",
+            ["test", *NET, "--draws", "20", "--tau-auto", "2", "--q", "0.5"],
+        ),
+        (
             "test_pilot_tuned_q0.2_jobs2",
             ["test", *NET, "--draws", "20", "--q", "0.2", "--tau-auto", "2", "--jobs", "2"],
         ),
@@ -138,6 +147,13 @@ def commands() -> list[tuple[str, list[str]]]:
         )
     cmds.append(
         (
+            "mc_degree-crosslink_jobs1_config_q0.5",
+            ["mc-experiment", "--config", "inputs/experiment_q0.5.json", *EXPERIMENT,
+             "--statistics", ALL_STATISTICS, "--reference", "degree-crosslink", "--jobs", "1"],
+        )
+    )
+    cmds.append(
+        (
             "mc_enumerated",
             ["mc-experiment", "--n-nodes", "5", "--n-reps", "4", "--gammas", "0,0.3",
              "--statistics", "transitivity_index,reciprocity_index",
@@ -162,9 +178,9 @@ def commands() -> list[tuple[str, list[str]]]:
 
 def write_inputs(inputs: Path) -> None:
     """A 16-node two-group network with homophily, a 5-node network small
-    enough to enumerate, and an experiment configuration file that sets the
+    enough to enumerate, an experiment configuration file that sets the
     trade probability and the pilot's target to values other than their
-    defaults."""
+    defaults, and one that sets the trade probability to 0.5."""
     inputs.mkdir(parents=True)
     rng = np.random.default_rng(2026)
     groups = np.arange(16) % 2
@@ -181,6 +197,7 @@ def write_inputs(inputs: Path) -> None:
         with open(inputs / f"{stem}nodes.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([("node", "group"), *enumerate(codes)])
     (inputs / "experiment.json").write_text(json.dumps({"q": 0.2, "mixing_r": 2}))
+    (inputs / "experiment_q0.5.json").write_text(json.dumps({"q": 0.5}))
 
 
 def main(argv: list[str]) -> int:
