@@ -522,7 +522,7 @@ def _add_chain_options(p: argparse.ArgumentParser) -> None:
         help=(
             "tune tau to modify each arc about R times per draw, by trades and "
             "cycle switches together: exact expected trade moves plus a "
-            "cycle-switch pilot, 37 attempts at the default --q (ignored with --tau)"
+            "cycle-switch pilot (ignored with --tau)"
         ),
     )
     p.add_argument(

@@ -97,13 +97,14 @@ class ChainConfig:
     ``tau = None`` asks :func:`mixing_time_heuristic` for a walk that
     modifies each arc about ``mixing_r`` times per draw, by trades and cycle
     switches together: the exact expected trade moves plus a pilot of cycle
-    attempts only (37 at the default q, 150 at q = 0.5, 1000 at q = 0).
+    attempts only, as many as that function's rule gives for ``q``.
 
     The default ``q = 0.8`` is the one source of the trade share's default:
     :func:`mixing_time_heuristic`, ``harness.ExperimentConfig`` and the
     CLI's ``--q`` read it.  Against q = 0.5 it costs less chain time per
     integrated autocorrelation time for every built-in statistic on the
-    networks of ``tools/ess_by_q.py``.
+    networks of ``tools/ess_by_q.py``, though the gain shrinks as n grows
+    and is near even at n = 192, the largest network measured.
     """
 
     tau: Optional[int] = None
@@ -528,9 +529,8 @@ def mixing_time_heuristic(
     (:func:`_expected_trade_flips`; skipped at q = 0).  F is the flips of a
     pilot :func:`markov_draw` of s cycle-switching attempts (q = 0) on a
     copy of ``d``: s = 1000 for q <= 0.15 and max(1, round(150 (1 - q) / q))
-    otherwise, about the attempts a pilot of 150 trade steps would make (37
-    at the default q, :class:`ChainConfig`'s).  The returned tau solves
-    tau * rate = r * arc_count, i.e.
+    otherwise, about the attempts a pilot of 150 trade steps would make.
+    The returned tau solves tau * rate = r * arc_count, i.e.
     tau = ceil(r * L * s / (q * s * T + (1 - q) * F)).  ``r = 0`` returns 1
     without a pilot.  ``r`` and ``q`` are checked as :class:`ChainConfig`
     checks them, before anything else, and an r so large that tau overflows

@@ -915,23 +915,16 @@ def test_pilot_runs_only_cycle_attempts(q, steps):
 
 def test_cycle_pilot_tunes_the_directed_three_cycle():
     # No trade moves an arc of the directed 3-cycle, but a cycle switch
-    # reverses it, so the chain is not frozen.
+    # reverses it, so the chain is not frozen.  The pilot's cycle attempts
+    # alone can move it, and at the default q they are few; each seed's
+    # pilot must still switch it.
     d = nt.from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
     g = nt.GroupAssignment.single_group(3)
     assert _expected_trade_flips(d, g) == 0.0
-    tau = mixing_time_heuristic(d, g, r=10.0, q=0.5, rng=random.Random(3))
-    assert 1 <= tau < math.inf
-
-
-def test_cycle_pilot_tunes_the_directed_three_cycle_at_the_default_share():
-    # At the default q = 0.8 the pilot is only round(150 * (1 - q) / q) = 37
-    # cycle attempts (1 - q is just below 0.2 in floating point), and they
-    # alone can move the 3-cycle; each seed's pilot must still switch it.
-    d = nt.from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
-    g = nt.GroupAssignment.single_group(3)
-    for seed in range(200):
-        tau = mixing_time_heuristic(d, g, r=10.0, rng=random.Random(seed))
-        assert 1 <= tau < math.inf
+    for q in (0.5, ChainConfig.q):
+        for seed in range(200):
+            tau = mixing_time_heuristic(d, g, r=10.0, q=q, rng=random.Random(seed))
+            assert 1 <= tau < math.inf
 
 
 def test_frozen_reference_sets_raise():

@@ -1,14 +1,14 @@
 """Chain time per integrated autocorrelation time (IAT) by trade share q.
 
-    python3 tools/ess_by_q.py [--qs 0.5,0.65,0.8,0.9] [--steps 40000]
-                              [--seed 1] [--networks NAME,...]
+    python3 tools/ess_by_q.py [--seed 1]
 
-For every network below and every q, one chain of ``--steps`` steps of
-``markov_step`` (after ``--steps // 10`` steps of burn-in, seeded
-``random.Random(--seed)``) starts at the network, and every ``THIN`` = 2
-steps each statistic is evaluated on the current draw.  The chains of one
-network take turns, ``THIN`` steps each, so that load from other processes
-falls on every q alike.  The IAT of each series, in chain steps, is ``THIN``
+For every network below and every q in ``QS``, one chain of ``STEPS`` =
+40000 steps of ``markov_step`` (20000 at n = 192; after a tenth as many
+steps of burn-in, seeded ``random.Random(--seed)``) starts at the network,
+and every ``THIN`` = 2 steps each statistic is evaluated on the current
+draw.  The chains of one network take turns, ``THIN`` steps each, so that
+load from other processes falls on every q alike.  The IAT of each series,
+in chain steps, is ``THIN``
 times Geyer's initial monotone sequence estimate
 (``benchmarks/spans.integrated_autocorrelation_time``).  Only the chain steps
 are timed, so "ms/IAT" is the chain time one IAT of that statistic costs, and
@@ -17,7 +17,7 @@ median over ``PILOTS`` = 8 pilot-tuned walk lengths (``mixing_time_heuristic``
 seeded 0, 1, ...) at r = 1 and r = 10, and "IATs/draw" is tau over the IAT.
 
 Networks:
-  design24, design48, design96  the benchmark's design,
+  design24, ..., design192      the benchmark's design at n = 24, 48, 96, 192,
                                 ``benchmarks/inputs.draw_design_network(n,
                                 rng)`` with rng ``default_rng([7, n])``;
   sparse24, sparse48            two alternating groups, arcs independent with
@@ -39,7 +39,8 @@ reverse.
 The last lines compare every q with q = 0.5: for each network and statistic,
 the ratio of its ms/IAT to q = 0.5's, and how many of them are at most 1.
 It imports the package from the checkout's ``src/``, and its helpers from
-``benchmarks/`` and ``tests/``; it takes about three minutes on one core.
+``benchmarks/`` and ``tests/``; it takes about a quarter of an hour on a
+shared core, most of it at n = 192.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ STATISTICS = (
     "lb_customer-product",
     "3-cycles (canary)",
 )
-BASE_Q = 0.5
+QS = (0.5, 0.65, 0.8, 0.9)
+BASE_Q = QS[0]
+STEPS = 40000
 THIN = 2
 PILOTS = 8
 
@@ -116,14 +119,16 @@ def _nested(n: int):
     )
 
 
+# name: (network builder, measured chain steps per q)
 NETWORKS = {
-    "design24": lambda: _design(24),
-    "design48": lambda: _design(48),
-    "design96": lambda: _design(96),
-    "sparse24": lambda: _sparse(24),
-    "sparse48": lambda: _sparse(48),
-    "fittable12": fittable_network,
-    "nested24": lambda: _nested(24),
+    "design24": (lambda: _design(24), STEPS),
+    "design48": (lambda: _design(48), STEPS),
+    "design96": (lambda: _design(96), STEPS),
+    "design192": (lambda: _design(192), STEPS // 2),
+    "sparse24": (lambda: _sparse(24), STEPS),
+    "sparse48": (lambda: _sparse(48), STEPS),
+    "fittable12": (fittable_network, STEPS),
+    "nested24": (lambda: _nested(24), STEPS),
 }
 
 
@@ -142,19 +147,19 @@ def statistic_functions(d, g):
     return [reciprocity_index, transitivity_index, *scores, _directed_three_cycles]
 
 
-def measure(d, g, qs, steps: int, seed: int) -> list[dict]:
+def measure(d, g, steps: int, seed: int) -> list[dict]:
     """Per q: the IAT of each statistic, chain time per step and pilot-tuned taus.
 
     The chains of all q take turns of ``THIN`` steps, so that load from other
     processes falls on every q alike.
     """
     fns = statistic_functions(d, g)
-    chains = [(nt.ChainConfig(None, q), random.Random(seed), d.copy()) for q in qs]
+    chains = [(nt.ChainConfig(None, q), random.Random(seed), d.copy()) for q in QS]
     for cfg, rng, x in chains:
         for _ in range(steps // 10):
             nt.markov_step(x, g, cfg, rng)
-    series = [[[] for _ in fns] for _ in qs]
-    chain_s = [0.0] * len(qs)
+    series = [[[] for _ in fns] for _ in QS]
+    chain_s = [0.0] * len(QS)
     for _ in range(steps // THIN):
         for k, (cfg, rng, x) in enumerate(chains):
             start = time.perf_counter()
@@ -176,22 +181,14 @@ def measure(d, g, qs, steps: int, seed: int) -> list[dict]:
                 for r in (1.0, 10.0)
             },
         }
-        for k, q in enumerate(qs)
+        for k, q in enumerate(QS)
     ]
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--qs", default="0.5,0.65,0.8,0.9", help="trade shares, comma-separated")
-    p.add_argument("--steps", type=int, default=40000, help="measured chain steps per q")
     p.add_argument("--seed", type=int, default=1, help="seed of every measured chain")
-    p.add_argument("--networks", default=",".join(NETWORKS), help="networks, comma-separated")
     args = p.parse_args(argv)
-    qs = [float(q) for q in args.qs.split(",")]
-    names = args.networks.split(",")
-    unknown = set(names) - set(NETWORKS)
-    if unknown or BASE_Q not in qs:
-        p.error(f"unknown networks {sorted(unknown)}" if unknown else f"--qs must hold {BASE_Q}")
 
     print(
         "| network | n | arcs | q | statistic | IAT (steps) | tau r=1 | tau r=10 "
@@ -199,9 +196,9 @@ def main(argv=None) -> int:
     )
     print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     cost = {}
-    for name in names:
-        d, g = NETWORKS[name]()
-        for q, m in zip(qs, measure(d, g, qs, args.steps, args.seed)):
+    for name, (build, steps) in NETWORKS.items():
+        d, g = build()
+        for q, m in zip(QS, measure(d, g, steps, args.seed)):
             for stat, iat in zip(STATISTICS, m["iat"]):
                 cost[name, q, stat] = m["us_per_step"] * iat / 1000.0
                 print(
@@ -212,12 +209,10 @@ def main(argv=None) -> int:
                     flush=True,
                 )
     print()
-    for q in qs:
-        if q == BASE_Q:
-            continue
+    for q in QS[1:]:
         ratios = {
             (name, stat): cost[name, q, stat] / cost[name, BASE_Q, stat]
-            for name in names
+            for name in NETWORKS
             for stat in STATISTICS
         }
         for canary in (False, True):
