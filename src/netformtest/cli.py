@@ -144,7 +144,6 @@ def _write_csv(path: Path, header, rows) -> None:
 class _RunContext:
     outdir: Path
     seed: int
-    jobs: int
     digests: dict = field(default_factory=dict)
 
     def track(self, path) -> Path:
@@ -292,9 +291,8 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
     kind = _STATISTIC_OF[args.statistic]
     reference = _REFERENCE_OF[args.reference]
     delta = None
-    if args.delta_source == "provided":
-        if not args.params:
-            raise DataError("--delta-source provided requires --params")
+    delta_source = "provided" if args.params else "fitted"
+    if args.params:
         delta, g_params = _load_params(args.params, ctx)
         if g_params.n_nodes != d.n:
             raise DataError(
@@ -312,15 +310,13 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
                         f"of node {i + args.index_base}"
                     )
         g = g_params
-    elif args.params:
-        raise DataError("--params is read only with --delta-source provided")
     spec = args.spec
     if spec is None and kind == "locally_best":
         spec = "transitivity"
     stat = TestStatisticSpec(
         kind=kind,
         strategic=_SPEC_OF[spec] if spec is not None else None,
-        delta_source=args.delta_source,
+        delta_source=delta_source,
         delta=delta,
     )
     result = conditional_p_value(
@@ -331,7 +327,7 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
         n_draws=args.draws,
         cfg=ChainConfig(args.tau, args.q, args.tau_auto),
         seed=ctx.seed,
-        jobs=ctx.jobs,
+        jobs=args.jobs,
     )
     _write_json(
         ctx.outdir / "result.json",
@@ -362,7 +358,7 @@ def _cmd_test(args, ctx: _RunContext) -> dict:
         "params": str(args.params) if args.params else None,
         "statistic": kind,
         "spec": stat.strategic,
-        "delta_source": args.delta_source,
+        "delta_source": delta_source,
         "reference": reference,
         "draws": args.draws,
         "tau": result.tau,
@@ -378,10 +374,9 @@ def _cmd_mc_experiment(args, ctx: _RunContext) -> dict:
         if not isinstance(raw, dict):
             raise DataError(f"{args.config}: expected a JSON object")
         overrides.update(raw)
-    for key in ("n_nodes", "n_reps", "n_draws", "alpha", "mixing_r"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    given = {"n_nodes": args.n_nodes, "n_reps": args.n_reps, "n_draws": args.n_draws,
+             "alpha": args.alpha, "mixing_r": args.mixing_r}
+    overrides.update((key, value) for key, value in given.items() if value is not None)
     if args.spec is not None:
         overrides["strategic"] = _SPEC_OF[args.spec]
     if args.reference is not None:
@@ -397,7 +392,7 @@ def _cmd_mc_experiment(args, ctx: _RunContext) -> dict:
         cfg = ExperimentConfig(**overrides)
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad experiment configuration: {exc}") from exc
-    table = run_experiment(cfg, ctx.seed, jobs=ctx.jobs)
+    table = run_experiment(cfg, ctx.seed, jobs=args.jobs)
     _write_csv(
         ctx.outdir / "power.csv",
         ["gamma", "statistic", "reject_rate", "se", "reps", "failures"],
@@ -479,6 +474,9 @@ def _positive_int(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.add_argument("--seed", type=int, default=None, help="root seed (default: system entropy)")
+
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
         type=_positive_int,
@@ -508,21 +506,22 @@ def _add_network_inputs(p: argparse.ArgumentParser, nodes_help: str) -> None:
 
 def _add_chain_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--draws", type=int, default=200, help="number of reference draws")
-    p.add_argument(
+    walk = p.add_mutually_exclusive_group()
+    walk.add_argument(
         "--tau",
         type=int,
         default=None,
         help="chain steps per draw (default: tuned as --tau-auto says)",
     )
-    p.add_argument(
+    walk.add_argument(
         "--tau-auto",
         type=float,
-        default=10.0,
+        default=ChainConfig.mixing_r,
         metavar="R",
         help=(
             "tune tau to modify each arc about R times per draw, by trades and "
             "cycle switches together: exact expected trade moves plus a "
-            "cycle-switch pilot (ignored with --tau)"
+            "cycle-switch pilot (default: %(default)s)"
         ),
     )
     p.add_argument(
@@ -584,12 +583,11 @@ def get_parser() -> argparse.ArgumentParser:
         help="interaction term for the locally-best statistic (default transitivity)",
     )
     p.add_argument(
-        "--delta-source",
-        default="fitted",
-        choices=("fitted", "provided"),
-        help="nuisance parameters: fit on the observed network, or take --params",
+        "--params",
+        default=None,
+        help="params.json from `fit`: take the nuisance parameters from it "
+        "instead of fitting them on the observed network",
     )
-    p.add_argument("--params", default=None, help="params.json (with --delta-source provided)")
     p.add_argument(
         "--reference",
         default="degree-crosslink",
@@ -598,6 +596,7 @@ def get_parser() -> argparse.ArgumentParser:
     )
     _add_chain_options(p)
     _add_common(p)
+    _add_jobs(p)
     p.set_defaults(handler=_cmd_test)
 
     p = sub.add_parser("mc-experiment", help="size/power Monte Carlo study")
@@ -612,6 +611,7 @@ def get_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None, choices=sorted(_REFERENCE_OF))
     p.add_argument("--mixing-r", type=float, default=None)
     _add_common(p)
+    _add_jobs(p)
     p.set_defaults(handler=_cmd_mc_experiment)
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate the reference set")
@@ -635,7 +635,7 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ctx = _RunContext(outdir=outdir, seed=seed, jobs=args.jobs)
+    ctx = _RunContext(outdir=outdir, seed=seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -16,7 +16,7 @@ exist, and NaN poisons any computation that forgets to mask them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -387,19 +387,13 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
 
 
 def simulate_null(
-    delta: NuisanceParams,
-    g: GroupAssignment,
-    rng: Optional[np.random.Generator] = None,
-    shocks: Optional[np.ndarray] = None,
+    delta: NuisanceParams, g: GroupAssignment, rng: np.random.Generator
 ) -> AdjacencyMatrix:
     """Draw a network of independent arcs: d_ij = 1{mu_ij >= u_ij}, with u
-    the n x n ``shocks``, iid standard logistic from ``rng`` when not given
-    (diagonal unused)."""
+    an n x n matrix of iid standard logistic shocks from ``rng`` (diagonal
+    unused)."""
     mu = systematic_utility(delta, g)
-    if shocks is None:
-        if rng is None:
-            raise ValueError("need an rng when shocks are not supplied")
-        shocks = rng.logistic(size=(g.n_nodes, g.n_nodes))
+    shocks = rng.logistic(size=(g.n_nodes, g.n_nodes))
     dense = (mu >= shocks).astype(np.uint8)  # NaN diagonal compares False
     return AdjacencyMatrix.from_dense(dense)
 
@@ -409,8 +403,7 @@ def simulate_alternative(
     gamma: float,
     spec: StrategicSpec,
     g: GroupAssignment,
-    rng: Optional[np.random.Generator] = None,
-    shocks: Optional[np.ndarray] = None,
+    rng: np.random.Generator,
 ) -> AdjacencyMatrix:
     """Draw an equilibrium network under interaction strength ``gamma``.
 
@@ -421,7 +414,7 @@ def simulate_alternative(
     attempted anyway and a revisited non-fixed state raises ValueError: no
     monotone structure, so a pure-strategy equilibrium is not guaranteed.
 
-    With gamma = 0 and the same shocks this reproduces
+    With gamma = 0 and an rng in the same state this reproduces
     :func:`simulate_null` exactly.  A gamma that is not finite raises
     ValueError.
     """
@@ -429,14 +422,11 @@ def simulate_alternative(
         raise ValueError(f"gamma must be finite, got {gamma!r}")
     n = g.n_nodes
     mu = systematic_utility(delta, g)
-    if shocks is None:
-        if rng is None:
-            raise ValueError("need an rng when shocks are not supplied")
-        shocks = rng.logistic(size=(n, n))
+    shocks = rng.logistic(size=(n, n))
     dense = np.zeros((n, n), dtype=np.uint8)
     monotone = gamma >= 0 and spec.monotone
     seen = {dense.tobytes()}
-    for _ in range(n * (n - 1) + 1 if monotone else 4 ** (n * n)):
+    while True:
         s = spec.matrix_fn(dense)
         new = (mu + gamma * s >= shocks).astype(np.uint8)
         if np.array_equal(new, dense):
@@ -451,4 +441,3 @@ def simulate_alternative(
                 "gamma >= 0 a pure-strategy equilibrium is not guaranteed"
             )
         seen.add(key)
-    raise AssertionError("best-response iteration failed to terminate")

@@ -104,7 +104,10 @@ class ChainConfig:
     CLI's ``--q`` read it.  Against q = 0.5 it costs less chain time per
     integrated autocorrelation time for every built-in statistic on the
     networks of ``tools/ess_by_q.py``, though the gain shrinks as n grows
-    and is near even at n = 192, the largest network measured.
+    and is near even at n = 192, the largest network measured.  Likewise
+    ``mixing_r = 10`` is the one source of the walk target's default: the
+    ``r`` of :func:`mixing_time_heuristic` and the CLI's ``--tau-auto``
+    read it.
     """
 
     tau: Optional[int] = None
@@ -517,7 +520,7 @@ def _expected_trade_flips(d: AdjacencyMatrix, g: GroupAssignment) -> float:
 def mixing_time_heuristic(
     d: AdjacencyMatrix,
     g: GroupAssignment,
-    r: float = 10.0,
+    r: float = ChainConfig.mixing_r,
     q: float = ChainConfig.q,
     rng=None,
 ) -> int:

@@ -159,6 +159,19 @@ def exact_reciprocity_likelihood(d, g, delta, gamma):
     return float(prob)
 
 
+class FixedShocks:
+    """Stands in for the ``rng`` of ``simulate_null`` and
+    ``simulate_alternative``: its ``logistic`` returns the given n x n
+    matrix, so a test fixes the shocks a simulation thresholds."""
+
+    def __init__(self, shocks):
+        self.shocks = np.asarray(shocks, dtype=float)
+
+    def logistic(self, size):
+        assert tuple(size) == self.shocks.shape
+        return self.shocks
+
+
 def is_equilibrium(d, delta, gamma, spec, g, shocks):
     """Check the per-arc best-response identity d_ij = 1{mu_ij + gamma s_ij >= u_ij}."""
     mu = systematic_utility(delta, g)

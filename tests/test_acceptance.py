@@ -60,6 +60,7 @@ from netformtest.sampler import (
 
 from _fixtures import (
     CHAIN_FIXTURES,
+    FixedShocks,
     arcs_of,
     build_fixture,
     dyad_likelihood_oracle,
@@ -382,7 +383,7 @@ def test_11_simulated_alternatives_are_exact_equilibria():
         gamma = rng.random() * 1.2
         spec = nt.strategic_spec(rng.choice(SPEC_KINDS))
         shocks = rng_np.logistic(size=(n, n))
-        d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
+        d = nt.simulate_alternative(delta, gamma, spec, g, FixedShocks(shocks))
         assert is_equilibrium(d, delta, gamma, spec, g, shocks)
 
 
@@ -450,7 +451,6 @@ def test_12_cli_reruns_with_identical_inputs_are_byte_identical(tmp_path):
         "test": ["test", "--edges", str(inputs / "sim" / "edges.csv"),
                  "--nodes", str(inputs / "net_nodes.csv"),
                  "--statistic", "locally-best", "--spec", "transitivity",
-                 "--delta-source", "provided",
                  "--params", str(inputs / "fit" / "params.json"),
                  "--reference", "degree-crosslink",
                  "--tau", "30", "--draws", "20", "--seed", "6"],

@@ -6,6 +6,7 @@ Every CLI contract under test comes in pairs: artifacts on disk plus the
 provenance manifest.
 """
 
+import argparse
 import ast
 import csv
 import importlib.metadata
@@ -241,12 +242,30 @@ def test_test_and_sample_tune_and_draw_the_same_walk(tmp_path, interior12, q):
 
 
 def test_every_walk_default_reads_the_chain_configs_trade_share():
-    default = nt.ChainConfig().q
-    assert inspect.signature(nt.mixing_time_heuristic).parameters["q"].default == default
-    assert nt.ExperimentConfig().q == default
+    default = nt.ChainConfig()
+    heuristic = inspect.signature(nt.mixing_time_heuristic).parameters
+    assert heuristic["q"].default == default.q
+    assert heuristic["r"].default == default.mixing_r
+    assert nt.ExperimentConfig().q == default.q
     parser = netformtest.cli.get_parser()
     for subcommand in ("test", "sample"):
-        assert parser.parse_args([subcommand, "--edges", "e.csv"]).q == default
+        args = parser.parse_args([subcommand, "--edges", "e.csv"])
+        assert (args.q, args.tau_auto) == (default.q, default.mixing_r)
+
+
+@pytest.mark.parametrize("order", ["tau-first", "tau-auto-first"])
+@pytest.mark.parametrize("subcommand", ["test", "sample"])
+def test_tau_and_tau_auto_exclude_each_other(subcommand, order):
+    flags = [["--tau", "5"], ["--tau-auto", "2"]]
+    if order == "tau-auto-first":
+        flags.reverse()
+    parser = netformtest.cli.get_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([subcommand, "--edges", "e.csv", *flags[0], *flags[1]])
+    assert exc.value.code == 2
+    # Either flag alone parses.
+    for flag in flags:
+        parser.parse_args([subcommand, "--edges", "e.csv", *flag])
 
 
 # -- fit -------------------------------------------------------------------------
@@ -307,7 +326,6 @@ def test_fit_simulate_test_pipeline(tmp_path, interior12):
         "--nodes", str(nodes),
         "--statistic", "locally-best",
         "--spec", "transitivity",
-        "--delta-source", "provided",
         "--params", str(fit_dir / "params.json"),
         "--reference", "degree-crosslink",
         "--tau", "30",
@@ -339,6 +357,50 @@ def test_fit_simulate_test_pipeline(tmp_path, interior12):
         manifest.pop("started_at")
         manifest.pop("wall_clock_sec")
     assert m1 == m2
+
+
+def test_params_alone_selects_the_given_parameters(tmp_path, interior12):
+    """``test --params P`` tests at the parameters of P, as the library does
+    with ``delta_source="provided"``; without ``--params`` they are fitted."""
+    d, g, edges, nodes = interior12
+    fitted = nt.mle_null(d, g)
+    delta = nt.NuisanceParams(fitted.sender + 0.3, fitted.receiver, fitted.mixing)
+    params = tmp_path / "params.json"
+    params.write_text(
+        json.dumps(
+            {
+                "sender": delta.sender.tolist(),
+                "receiver": delta.receiver.tolist(),
+                "mixing": delta.mixing.tolist(),
+                "groups": list(g.codes),
+            }
+        )
+    )
+    argv = ["test", "--edges", str(edges), "--nodes", str(nodes), "--draws", "20"]
+    argv += ["--tau", "30", "--seed", "9", "--jobs", "1"]
+    given, own = tmp_path / "given", tmp_path / "own"
+    assert main(argv + ["--params", str(params), "--out", str(given)]) == 0
+    assert main(argv + ["--out", str(own)]) == 0
+    expected = nt.conditional_p_value(
+        d,
+        g,
+        nt.TestStatisticSpec("locally_best", "transitivity", "provided", delta),
+        reference="degree_and_crosslink",
+        n_draws=20,
+        cfg=nt.ChainConfig(30),
+        seed=9,
+    )
+    result = json.loads((given / "result.json").read_text())
+    for key in ("statistic", "observed", "p_value", "quantile", "reference", "tau", "q"):
+        assert result[key] == getattr(expected, key), key
+    _, rows = read_csv_rows(given / "null_draws.csv")
+    assert [float(r["value"]) for r in rows] == list(expected.null_draws)
+    config = read_manifest(given)["config"]
+    assert (config["delta_source"], config["params"]) == ("provided", str(params))
+    assert str(params) in read_manifest(given)["input_digests"]
+    config = read_manifest(own)["config"]
+    assert (config["delta_source"], config["params"]) == ("fitted", None)
+    assert json.loads((own / "result.json").read_text())["observed"] != result["observed"]
 
 
 def test_density_reference_is_byte_identical_across_reruns_and_jobs(tmp_path, interior12):
@@ -477,7 +539,7 @@ def test_usage_errors_exit_with_code_2(tmp_path):
         ["sample"],
         ["no-such-command"],
         [],
-        ["calibrate", "--jobs", "0", "--out", str(tmp_path)],
+        ["test", "--edges", "e.csv", "--jobs", "0", "--out", str(tmp_path)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -562,6 +624,25 @@ def test_bad_experiment_settings_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["fit", "--edges", "e.csv"],
+        ["sample", "--edges", "e.csv"],
+        ["simulate", "--params", "p.json"],
+        ["enumerate", "--edges", "e.csv"],
+        ["calibrate"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_jobs_is_offered_only_where_work_runs_in_parallel(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--jobs", "1", "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "r, message",
     [
         ("inf", "mixing_r must be finite"),
@@ -599,17 +680,6 @@ def test_non_finite_gamma_exits_3(tmp_path, capsys, interior12, gamma):
 
 def test_unread_network_inputs_exit_3(tmp_path, capsys, interior12):
     _, _, edges, nodes = interior12
-    fit_dir = tmp_path / "fit"
-    assert main(["fit", "--edges", str(edges), "--nodes", str(nodes),
-                 "--out", str(fit_dir), "--seed", "1"]) == 0
-    capsys.readouterr()
-    code = main(
-        ["test", "--edges", str(edges), "--nodes", str(nodes), "--draws", "5"]
-        + ["--tau", "5", "--params", str(fit_dir / "params.json")]
-        + ["--out", str(tmp_path / "t"), "--seed", "1"]
-    )
-    assert code == 3
-    assert "--delta-source provided" in capsys.readouterr().err
     for command in (["fit"], ["sample", "--draws", "5", "--tau", "5"]):
         code = main(
             command + ["--edges", str(edges), "--n-nodes", "0"]
@@ -658,7 +728,7 @@ def test_provided_parameters_must_cover_the_network_nodes(tmp_path, capsys, inte
     write_edges(tmp_path / "edges10.csv", [(i, (i + k) % 10) for i in range(10) for k in (1, 3)])
     code = main(
         ["test", "--edges", str(tmp_path / "edges10.csv"), "--draws", "5"]
-        + ["--delta-source", "provided", "--params", str(fit_dir / "params.json"), *flags]
+        + ["--params", str(fit_dir / "params.json"), *flags]
         + ["--out", str(tmp_path / "t"), "--seed", "1"]
     )
     assert code == 3
@@ -675,8 +745,8 @@ def test_provided_parameters_must_group_the_nodes_as_the_node_file_does(tmp_path
     def run_test(node_file, out):
         return main(
             ["test", "--edges", str(edges), "--nodes", str(node_file), "--draws", "5"]
-            + ["--tau", "5", "--delta-source", "provided"]
-            + ["--params", str(fit_dir / "params.json"), "--out", str(out), "--seed", "1"]
+            + ["--tau", "5", "--params", str(fit_dir / "params.json")]
+            + ["--out", str(out), "--seed", "1"]
         )
 
     # Nodes 0-5 moved to the other group: codes 0, 0, 1, 1, 0, 1 pair the two
@@ -719,7 +789,7 @@ def test_an_index_statistic_refuses_provided_parameters(tmp_path, capsys, interi
     capsys.readouterr()
     code = main(
         ["test", "--edges", str(edges), "--nodes", str(nodes), "--statistic", statistic]
-        + ["--delta-source", "provided", "--params", str(fit_dir / "params.json")]
+        + ["--params", str(fit_dir / "params.json")]
         + ["--draws", "5", "--tau", "5", "--out", str(tmp_path / "t"), "--seed", "1"]
     )
     assert code == 3
@@ -869,6 +939,38 @@ def test_every_exported_name_is_documented_or_read_by_the_package():
         if name not in nt.__all__ and name not in read
     ]
     assert unread == []
+
+
+def test_every_option_a_subcommand_offers_is_read():
+    # Each settable value of a subcommand is read as ``args.<dest>`` by its
+    # handler, by ``_load_network`` when the handler calls it, or by ``main``.
+    tree = ast.parse(Path(netformtest.cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(function):
+        return {
+            node.attr
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+
+    def calls(function, name):
+        return any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+            for node in ast.walk(function)
+        )
+
+    parser = netformtest.cli.get_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, subparser in subparsers.choices.items():
+        handler = functions[subparser.get_default("handler").__name__]
+        read = reads(handler) | reads(functions["main"])
+        if calls(handler, "_load_network"):
+            read |= reads(functions["_load_network"])
+        offered = {action.dest for action in subparser._actions if action.dest != "help"}
+        assert sorted(offered - read) == [], name
 
 
 def test_package_import_leaves_the_cli_and_pool_modules_unloaded():

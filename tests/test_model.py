@@ -27,6 +27,7 @@ from netformtest.model import (
 from _fixtures import (
     PAIR_TERMS,
     TERM_BOUNDS,
+    FixedShocks,
     arcs_of,
     is_equilibrium,
     pair_term,
@@ -505,7 +506,7 @@ def test_logistic_shocks_follow_the_logistic_law():
     delta = nt.NuisanceParams(np.zeros(200), np.zeros(200), np.zeros((1, 1)))
     g = nt.GroupAssignment.single_group(200)
     drawn = nt.simulate_null(delta, g, np.random.default_rng(17))
-    assert drawn == nt.simulate_null(delta, g, shocks=shocks)
+    assert drawn == nt.simulate_null(delta, g, FixedShocks(shocks))
 
 
 def test_simulate_null_thresholds_shocks_against_utilities():
@@ -517,19 +518,13 @@ def test_simulate_null_thresholds_shocks_against_utilities():
     shocks = np.array(
         [[0.0, 0.9, 0.6], [-0.4, 0.0, -2.0], [0.7, -0.1, 0.0]]
     )
-    d = nt.simulate_null(delta, g, shocks=shocks)
+    d = nt.simulate_null(delta, g, FixedShocks(shocks))
     for i in range(3):
         for j in range(3):
             if i != j:
                 assert d.has_arc(i, j) == (mu[i, j] >= shocks[i, j])
             else:
                 assert not d.has_arc(i, j)
-
-
-def test_simulate_null_needs_a_randomness_source():
-    delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="rng"):
-        nt.simulate_null(delta, nt.GroupAssignment.single_group(3))
 
 
 def test_zero_utility_networks_have_half_density():
@@ -550,10 +545,10 @@ def test_zero_interaction_reproduces_the_null_simulator_exactly():
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng)
         shocks = np.random.default_rng(trial).logistic(size=(n, n))
-        base = nt.simulate_null(delta, g, shocks=shocks)
+        base = nt.simulate_null(delta, g, FixedShocks(shocks))
         for kind in ("reciprocity", "transitivity", "customer_product"):
             spec = nt.strategic_spec(kind)
-            alt = nt.simulate_alternative(delta, 0.0, spec, g, shocks=shocks)
+            alt = nt.simulate_alternative(delta, 0.0, spec, g, FixedShocks(shocks))
             assert alt.key() == base.key()
 
 
@@ -568,9 +563,9 @@ def test_positive_interaction_output_is_an_equilibrium_superset_of_null():
         kind = rng.choice(["reciprocity", "transitivity", "customer_product"])
         spec = nt.strategic_spec(kind)
         shocks = np.random.default_rng(100 + trial).logistic(size=(n, n))
-        d = nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
+        d = nt.simulate_alternative(delta, gamma, spec, g, FixedShocks(shocks))
         assert is_equilibrium(d, delta, gamma, spec, g, shocks)
-        base = set(arcs_of(nt.simulate_null(delta, g, shocks=shocks)))
+        base = set(arcs_of(nt.simulate_null(delta, g, FixedShocks(shocks))))
         assert base <= set(arcs_of(d))
 
 
@@ -580,7 +575,7 @@ def test_equilibrium_check_fails_after_tampering():
     delta = nt.NuisanceParams(np.zeros(n), np.zeros(n), np.zeros((1, 1)))
     spec = nt.strategic_spec("reciprocity")
     shocks = np.random.default_rng(23).logistic(size=(n, n))
-    d = nt.simulate_alternative(delta, 0.7, spec, g, shocks=shocks)
+    d = nt.simulate_alternative(delta, 0.7, spec, g, FixedShocks(shocks))
     assert is_equilibrium(d, delta, 0.7, spec, g, shocks)
     d.set_arc(0, 1, not d.has_arc(0, 1))
     assert not is_equilibrium(d, delta, 0.7, spec, g, shocks)
@@ -594,7 +589,7 @@ def test_negative_interaction_can_cycle_without_an_equilibrium():
     shocks = np.array([[0.0, -0.5], [-0.5, 0.0]])
     with pytest.raises(ValueError, match="cycled"):
         nt.simulate_alternative(
-            delta, -1.0, nt.strategic_spec("reciprocity"), g, shocks=shocks
+            delta, -1.0, nt.strategic_spec("reciprocity"), g, FixedShocks(shocks)
         )
 
 
@@ -606,7 +601,7 @@ def test_negative_interaction_converges_when_a_fixed_point_exists():
     )
     # arcs 0->1 and 1->2 are on even against reciprocation, everything else off
     spec = nt.strategic_spec("reciprocity")
-    d = nt.simulate_alternative(delta, -1.0, spec, g, shocks=shocks)
+    d = nt.simulate_alternative(delta, -1.0, spec, g, FixedShocks(shocks))
     assert is_equilibrium(d, delta, -1.0, spec, g, shocks)
     assert sorted(arcs_of(d)) == [(0, 1), (1, 2)]
 
@@ -619,11 +614,4 @@ def test_simulate_alternative_refuses_a_non_finite_gamma(gamma):
     for kind in ("reciprocity", "transitivity", "customer_product"):
         spec = nt.strategic_spec(kind)
         with pytest.raises(ValueError, match="gamma must be finite"):
-            nt.simulate_alternative(delta, gamma, spec, g, shocks=shocks)
-
-
-def test_simulate_alternative_needs_a_randomness_source():
-    delta = nt.NuisanceParams(np.zeros(3), np.zeros(3), np.zeros((1, 1)))
-    g = nt.GroupAssignment.single_group(3)
-    with pytest.raises(ValueError, match="rng"):
-        nt.simulate_alternative(delta, 0.5, nt.strategic_spec("reciprocity"), g)
+            nt.simulate_alternative(delta, gamma, spec, g, FixedShocks(shocks))

@@ -3,7 +3,8 @@
     python3 tools/byte_identity.py ROOT OUTDIR
 
 runs every command below as ``python3 -m netformtest`` with ``ROOT/src`` on
-the import path, ``OPENBLAS_NUM_THREADS=1`` and a fixed ``--seed``, from
+the import path, ``OPENBLAS_NUM_THREADS=1``, a fixed ``--seed`` and, for
+``test`` and ``mc-experiment`` when the command sets none, ``--jobs 1``, from
 inside OUTDIR, so that the paths recorded in the manifests are relative and
 the same for every ROOT.  The input networks are written to OUTDIR/inputs
 first, drawn with numpy alone.  Command NAME writes its artifacts to
@@ -104,8 +105,7 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds += [
         (
             "test_provided_delta",
-            ["test", *NET, *CHAIN, "--delta-source", "provided",
-             "--params", "runs/fit/params.json", "--jobs", "2"],
+            ["test", *NET, *CHAIN, "--params", "runs/fit/params.json", "--jobs", "2"],
         ),
         ("test_q0", ["test", *NET, *CHAIN, "--q", "0"]),
         ("test_pilot_tuned", ["test", *NET, "--draws", "20", "--tau-auto", "2"]),
@@ -214,7 +214,7 @@ def main(argv: list[str]) -> int:
         run = outdir / "runs" / name
         run.mkdir(parents=True)
         out = ["--out", f"runs/{name}", "--seed", SEED]
-        if "--jobs" not in args:
+        if args[0] in ("test", "mc-experiment") and "--jobs" not in args:
             out += ["--jobs", "1"]
         proc = subprocess.run(
             [sys.executable, "-m", "netformtest", *args, *out],
