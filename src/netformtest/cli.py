@@ -43,10 +43,8 @@ from .harness import ExperimentConfig, run_experiment, table1_calibration
 from .model import (
     NuisanceParams,
     SeparationError,
-    _group_indicator,
-    _link_probabilities,
-    _null_gradient,
     mle_null,
+    null_gradient_sup_norm,
     null_log_likelihood,
     simulate_alternative,
     simulate_null,
@@ -193,13 +191,6 @@ def _load_params(path, ctx: _RunContext) -> tuple[NuisanceParams, GroupAssignmen
     return delta, g
 
 
-def _fit_gradient_sup_norm(d, delta, g) -> float:
-    P = _link_probabilities(delta, g)
-    np.fill_diagonal(P, 0.0)
-    ga, gb, glam = _null_gradient(d.to_array().astype(float), P, _group_indicator(g))
-    return float(max(np.abs(ga).max(), np.abs(gb).max(), np.abs(glam).max()))
-
-
 def _arc_rows(networks, index_base: int) -> list[tuple[int, int, int]]:
     """(index, source, target) for every arc of each network, an
     ``AdjacencyMatrix`` or a dense 0/1 array, in row-major order."""
@@ -254,7 +245,7 @@ def _cmd_fit(args, ctx: _RunContext) -> dict:
         "groups": list(g.codes),
         "n_nodes": d.n,
         "log_likelihood": ll,
-        "gradient_sup_norm": _fit_gradient_sup_norm(d, delta, g),
+        "gradient_sup_norm": null_gradient_sup_norm(d, delta, g),
         "converged": True,
         "normalization": "mixing[0, :] = mixing[:, 0] = 0; mean(receiver) = 0",
     }

@@ -28,6 +28,7 @@ __all__ = [
     "StrategicSpec",
     "logistic_cdf",
     "mle_null",
+    "null_gradient_sup_norm",
     "null_log_likelihood",
     "simulate_alternative",
     "simulate_null",
@@ -111,12 +112,6 @@ def systematic_utility(delta: NuisanceParams, g: GroupAssignment) -> np.ndarray:
     return mu
 
 
-def _link_probabilities(delta: NuisanceParams, g: GroupAssignment) -> np.ndarray:
-    """Null arc probabilities F(mu_ij); the unused diagonal holds F(0)."""
-    off = ~np.eye(g.n_nodes, dtype=bool)
-    return logistic_cdf(np.where(off, systematic_utility(delta, g), 0.0))
-
-
 def _group_indicator(g: GroupAssignment) -> np.ndarray:
     """The n x K one-hot group matrix Z: Z[i, k] = 1 iff node i is in group k."""
     Z = np.zeros((g.n_nodes, g.n_groups))
@@ -196,29 +191,49 @@ def strategic_spec(kind: str) -> StrategicSpec:
 # -- null likelihood and MLE -------------------------------------------------
 
 
+def _margins(d: AdjacencyMatrix, g: GroupAssignment):
+    """The null's sufficient statistics (out-degrees, in-degrees, K x K cross-group
+    arc counts) of ``d`` as float arrays; ValueError if ``g`` has another n."""
+    counts = np.array(cross_link_matrix(d, g), dtype=float)
+    return np.array(d.out_degrees(), dtype=float), np.array(d.in_degrees(), dtype=float), counts
+
+
+def _log_likelihood(margins, delta: NuisanceParams, mu_off: np.ndarray) -> float:
+    """sum over i != j of d_ij mu_ij - log(1 + exp(mu_ij)), the first sum
+    read from ``margins``; ``mu_off`` holds the off-diagonal mu_ij."""
+    out_deg, in_deg, counts = margins
+    linear = out_deg @ delta.sender + in_deg @ delta.receiver + np.vdot(counts, delta.mixing)
+    return float(linear - np.logaddexp(0.0, mu_off).sum())
+
+
 def null_log_likelihood(
     d: AdjacencyMatrix, delta: NuisanceParams, g: GroupAssignment
 ) -> float:
     """Log-likelihood of independent logistic arcs:
     sum over i != j of d_ij mu_ij - log(1 + exp(mu_ij))."""
+    margins = _margins(d, g)
     mu = systematic_utility(delta, g)
-    a = d.to_array()
-    mask = ~np.eye(d.n, dtype=bool)
-    mu_off = mu[mask]
-    return float((a[mask] * mu_off - np.logaddexp(0.0, mu_off)).sum())
+    return _log_likelihood(margins, delta, mu[~np.eye(d.n, dtype=bool)])
 
 
-def _null_gradient(a: np.ndarray, P: np.ndarray, Z: np.ndarray):
-    """Moment-matching residuals w.r.t. (sender, receiver, mixing.ravel()).
+def _null_gradient(margins, P: np.ndarray, Z: np.ndarray):
+    """Moment-matching residuals w.r.t. (sender, receiver, mixing): ``margins``
+    less their expectations under ``P``, the arc probabilities with a zeroed
+    diagonal; ``Z`` is the n x K one-hot group matrix."""
+    out_deg, in_deg, counts = margins
+    return out_deg - P.sum(axis=1), in_deg - P.sum(axis=0), counts - Z.T @ P @ Z
 
-    ``a`` is the dense adjacency array, ``P`` the fitted arc probabilities
-    with a zeroed diagonal, ``Z`` the n x K one-hot group matrix.
-    """
-    resid = a - P
-    ga = resid.sum(axis=1)
-    gb = resid.sum(axis=0)
-    glam = Z.T @ resid @ Z
-    return ga, gb, glam
+
+def null_gradient_sup_norm(
+    d: AdjacencyMatrix, delta: NuisanceParams, g: GroupAssignment
+) -> float:
+    """Largest absolute gradient component of :func:`null_log_likelihood` in
+    (sender, receiver, mixing) at ``delta``: how far the fit is from
+    reproducing d's margins."""
+    P = logistic_cdf(systematic_utility(delta, g))
+    np.fill_diagonal(P, 0.0)
+    gradient = _null_gradient(_margins(d, g), P, _group_indicator(g))
+    return float(max(np.abs(part).max() for part in gradient))
 
 
 def _free_information(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -245,39 +260,34 @@ def _free_information(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     )
 
 
-def _degenerate_margins(d: AdjacencyMatrix, g: GroupAssignment) -> list[str]:
+def _degenerate_margins(margins, g: GroupAssignment) -> list[str]:
     """One message per kind of sufficient statistic at an extreme achievable
     value; empty when there is none.
 
-    Out-degrees, in-degrees, and group-cell arc counts are the sufficient
-    statistics; the MLE exists only when each is strictly between its
-    bounds (a degree of 0 or n-1, or an empty/saturated group cell, pushes
-    the corresponding parameter to infinity).
+    ``margins`` are the out-degrees, in-degrees, and group-cell arc counts
+    of :func:`_margins`; the MLE exists only when each is strictly between
+    its bounds (a degree of 0 or n-1, or an empty/saturated group cell,
+    pushes the corresponding parameter to infinity).
     """
-    n = d.n
-    out_deg = d.out_degrees()
-    in_deg = d.in_degrees()
+    out_deg, in_deg, counts = margins
+    n = g.n_nodes
     bits = []
-    empty_out = [i for i in range(n) if out_deg[i] == 0]
-    full_out = [i for i in range(n) if out_deg[i] == n - 1]
-    empty_in = [j for j in range(n) if in_deg[j] == 0]
-    full_in = [j for j in range(n) if in_deg[j] == n - 1]
-    if empty_out:
-        bits.append(f"nodes with no outgoing arcs: {empty_out}")
-    if full_out:
-        bits.append(f"nodes linking to everyone: {full_out}")
-    if empty_in:
-        bits.append(f"nodes with no incoming arcs: {empty_in}")
-    if full_in:
-        bits.append(f"nodes receiving from everyone: {full_in}")
-    counts = cross_link_matrix(d, g)
+    for what, degrees, extreme in (
+        ("with no outgoing arcs", out_deg, 0),
+        ("linking to everyone", out_deg, n - 1),
+        ("with no incoming arcs", in_deg, 0),
+        ("receiving from everyone", in_deg, n - 1),
+    ):
+        nodes = np.flatnonzero(degrees == extreme).tolist()
+        if nodes:
+            bits.append(f"nodes {what}: {nodes}")
     sizes = np.bincount(np.asarray(g.codes), minlength=g.n_groups)
     for k in range(g.n_groups):
         for l in range(g.n_groups):
             cap = int(sizes[k] * sizes[l] - (sizes[k] if k == l else 0))
-            if cap > 0 and counts[k][l] == 0:
+            if cap > 0 and counts[k, l] == 0:
                 bits.append(f"no arcs at all from group {k} to group {l}")
-            elif cap > 0 and counts[k][l] == cap:
+            elif cap > 0 and counts[k, l] == cap:
                 bits.append(f"every possible arc from group {k} to group {l} present")
     return bits
 
@@ -294,7 +304,9 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
     ``MLE_TOL``.  Newton steps do not depend on the linear coordinates they
     are taken in.  At the optimum the fitted model reproduces the observed
     out-degrees, in-degrees, and cross-group arc counts exactly — those are
-    the gradient components.  A one-member group has no pair in its diagonal
+    the gradient components.  The network enters only through these
+    margins, so every network with the same margins gets the same fit, bit
+    for bit.  A one-member group has no pair in its diagonal
     cell, which leaves one direction of the free coordinates unidentified;
     the steps are then minimum-norm, so rounding does not choose the fit.
 
@@ -304,17 +316,15 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
     """
     n = d.n
     K = g.n_groups
-    if g.n_nodes != n:
-        raise ValueError("group assignment does not match node count")
-    degenerate = _degenerate_margins(d, g)
+    margins = _margins(d, g)
+    degenerate = _degenerate_margins(margins, g)
     if degenerate:
         raise SeparationError(
             "null MLE does not exist (a sufficient statistic is at its "
             "extreme): " + "; ".join(degenerate)
         )
     # Every later failure happens with all margins interior.
-    margins = "no degenerate margins found"
-    a = d.to_array().astype(float)
+    interior = "no degenerate margins found"
     Z = _group_indicator(g)
     offdiag = ~np.eye(n, dtype=bool)
     unidentified = bool((Z.sum(axis=0) == 1).any())
@@ -328,24 +338,22 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
 
     def loglik_and_parts(x: np.ndarray):
         delta = unpack(x)
-        mu = systematic_utility(delta, g)
-        mu_fin = np.where(offdiag, mu, 0.0)
+        mu_fin = np.where(offdiag, systematic_utility(delta, g), 0.0)
         P = logistic_cdf(mu_fin)
         P[~offdiag] = 0.0
-        ll = float((a[offdiag] * mu_fin[offdiag] - np.logaddexp(0.0, mu_fin[offdiag])).sum())
-        return delta, P, ll
+        return delta, P, _log_likelihood(margins, delta, mu_fin[offdiag])
 
     x = np.zeros(n + (n - 1) + (K - 1) * (K - 1))
     delta, P, ll = loglik_and_parts(x)
     for _ in range(MLE_MAX_ITER):
-        ga, gb, glam = _null_gradient(a, P, Z)
+        ga, gb, glam = _null_gradient(margins, P, Z)
         stop = np.concatenate([ga, gb[:-1] - gb[-1], glam[1:, 1:].ravel()])
         if np.abs(stop).max() < MLE_TOL:
             mu = systematic_utility(delta, g)
             if np.nanmax(np.abs(mu)) > 30.0:
                 raise SeparationError(
                     "null MLE stalled with saturated link probabilities; "
-                    "likely perfect separation: " + margins
+                    "likely perfect separation: " + interior
                 )
             return delta
         grad = np.concatenate([ga, gb[:-1], glam[1:, 1:].ravel()])
@@ -365,7 +373,7 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
             scale *= 0.5
         else:
             raise SeparationError(
-                "null MLE line search failed to improve the likelihood; " + margins
+                "null MLE line search failed to improve the likelihood; " + interior
             )
         x, delta, P, ll = x_new, delta_new, P_new, ll_new
         worst = max(
@@ -376,10 +384,10 @@ def mle_null(d: AdjacencyMatrix, g: GroupAssignment) -> NuisanceParams:
         if worst > MLE_PARAM_BOUND:
             raise SeparationError(
                 f"null MLE diverged (|parameter| > {MLE_PARAM_BOUND:g}); "
-                "likely perfect separation: " + margins
+                "likely perfect separation: " + interior
             )
     raise SeparationError(
-        f"null MLE did not converge in {MLE_MAX_ITER} iterations; " + margins
+        f"null MLE did not converge in {MLE_MAX_ITER} iterations; " + interior
     )
 
 

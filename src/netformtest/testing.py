@@ -33,9 +33,10 @@ from .graphs import (
 from .model import (
     NuisanceParams,
     StrategicSpec,
-    _link_probabilities,
+    logistic_cdf,
     mle_null,
     strategic_spec,
+    systematic_utility,
 )
 from .sampler import (
     ChainConfig,
@@ -75,7 +76,7 @@ def score_statistic(spec: StrategicSpec, delta: NuisanceParams, g: GroupAssignme
     exactly where the interaction term s makes arcs more attractive.  The
     null link probabilities and the off-diagonal mask are computed once; the
     function pickles when ``spec.matrix_fn`` does."""
-    P = _link_probabilities(delta, g)
+    P = logistic_cdf(systematic_utility(delta, g))
     off = ~np.eye(g.n_nodes, dtype=bool)
     return partial(_score, P=P, off=off, matrix_fn=spec.matrix_fn)
 

@@ -15,7 +15,7 @@ import numpy as np
 import netformtest as nt
 from netformtest import harness
 from netformtest._rng import seed_sequence, substream_generator
-from netformtest.model import _link_probabilities, logistic_cdf, systematic_utility
+from netformtest.model import logistic_cdf, systematic_utility
 from netformtest.sampler import ChainStats, StepInfo
 from netformtest.testing import (
     INDEX_STATISTICS,
@@ -105,7 +105,7 @@ def theorem2_derivative(d, delta, spec, g):
     form of ``score_statistic``.
     """
     off = ~np.eye(d.n, dtype=bool)
-    F = _link_probabilities(delta, g)
+    F = logistic_cdf(systematic_utility(delta, g))
     f = F * (1.0 - F)
     dense = d.to_array().astype(float)
     S = spec.matrix_fn(dense).astype(float)
@@ -138,7 +138,7 @@ def exact_reciprocity_likelihood(d, g, delta, gamma):
             "this likelihood only covers gamma >= 0"
         )
     mu = systematic_utility(delta, g)
-    F0 = _link_probabilities(delta, g)
+    F0 = logistic_cdf(mu)
     Fg = logistic_cdf(np.where(np.isnan(mu), 0.0, mu + gamma))
     prob = 1.0
     n = d.n

@@ -941,6 +941,24 @@ def test_every_exported_name_is_documented_or_read_by_the_package():
     assert unread == []
 
 
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # An underscore-prefixed name belongs to its own module; a sibling that
+    # needs it should read a public name instead.  ``_rng`` is a private
+    # module of public names, so imports from it are allowed.
+    src = Path(netformtest.__file__).resolve().parent
+    private = [
+        f"{path.stem} imports {alias.name} from .{node.module}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and node.module not in (None, "_rng")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_every_option_a_subcommand_offers_is_read():
     # Each settable value of a subcommand is read as ``args.<dest>`` by its
     # handler, by ``_load_network`` when the handler calls it, or by ``main``.

@@ -19,16 +19,19 @@ from netformtest.graphs import cross_link_matrix, transitivity_index
 from netformtest.model import (
     _SPECS,
     _free_information,
+    _margins,
     _null_gradient,
     logistic_cdf,
     systematic_utility,
 )
 
 from _fixtures import (
+    CHAIN_FIXTURES,
     PAIR_TERMS,
     TERM_BOUNDS,
     FixedShocks,
     arcs_of,
+    build_fixture,
     is_equilibrium,
     pair_term,
     random_delta,
@@ -286,9 +289,9 @@ def test_gradient_matches_central_finite_differences():
         d = random_digraph(n, 0.45, rng)
         g = random_groups(n, K, rng)
         delta = random_delta(n, K, rng, scale=0.6)
-        a = d.to_array().astype(float)
+        margins = _margins(d, g)
         P = fitted_probabilities(delta, g)
-        ga, gb, glam = _null_gradient(a, P, make_Z(g))
+        ga, gb, glam = _null_gradient(margins, P, make_Z(g))
         analytic = np.concatenate([ga, gb, glam.ravel()])
 
         def ll_at(vec):
@@ -317,7 +320,7 @@ def test_free_information_matches_central_finite_differences():
             n = rng.randrange(4, 8)
             d = random_digraph(n, 0.45, rng)
             g = random_groups(n, K, rng)
-            a = d.to_array().astype(float)
+            margins = _margins(d, g)
             Z = make_Z(g)
 
             def free_delta(x):
@@ -327,7 +330,7 @@ def test_free_information_matches_central_finite_differences():
 
             def free_gradient(x):
                 P = fitted_probabilities(free_delta(x), g)
-                ga, gb, glam = _null_gradient(a, P, Z)
+                ga, gb, glam = _null_gradient(margins, P, Z)
                 return np.concatenate([ga, gb[:-1], glam[1:, 1:].ravel()])
 
             x0 = np.array([rng.gauss(0.0, 0.6) for _ in range(2 * n - 1 + (K - 1) ** 2)])
@@ -494,6 +497,54 @@ def test_mle_validates_group_shape():
     d = nt.from_edge_list([(0, 1)], 3)
     with pytest.raises(ValueError, match="does not match"):
         nt.mle_null(d, nt.GroupAssignment.single_group(4))
+
+
+def test_log_likelihood_refuses_a_grouping_of_another_size():
+    d = nt.from_edge_list([(0, 1)], 3)
+    g = nt.GroupAssignment.single_group(4)
+    delta = nt.NuisanceParams(np.zeros(4), np.zeros(4), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="group assignment does not match node count"):
+        nt.null_log_likelihood(d, delta, g)
+
+
+def assert_one_fit_for_all(d, g, members):
+    """Every member of d's reference set gets d's fit, array for array, and
+    so the same locally best statistic on d."""
+    fit = nt.mle_null(d, g)
+    statistic = nt.score_statistic(nt.strategic_spec("transitivity"), fit, g)
+    for member in members:
+        refit = nt.mle_null(member, g)
+        for name in ("sender", "receiver", "mixing"):
+            assert np.array_equal(getattr(refit, name), getattr(fit, name)), name
+        refit_statistic = nt.score_statistic(nt.strategic_spec("transitivity"), refit, g)
+        assert refit_statistic(d) == statistic(d)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_every_chain_draw_gets_the_observed_fit_bit_for_bit(n):
+    # The fit reads the network only through its margins, which the chain
+    # keeps, so the fit is one function on the reference set.
+    rng = np.random.default_rng(n)
+    while True:
+        delta, g = nt.study_population(n, rng)
+        d = nt.simulate_null(delta, g, rng)
+        try:
+            nt.mle_null(d, g)
+            break
+        except nt.SeparationError:
+            continue
+    chain_rng = random.Random(n)
+    draws = [nt.markov_draw(d, g, nt.ChainConfig(tau=200), chain_rng) for _ in range(10)]
+    assert all(draw != d for draw in draws)
+    assert_one_fit_for_all(d, g, draws)
+
+
+def test_every_enumerated_member_gets_the_observed_fit_bit_for_bit():
+    (entry,) = [entry for entry in CHAIN_FIXTURES if entry[0] == "n5_k2_a"]
+    d, g, size = build_fixture(entry)
+    members = nt.enumerate_reference_set(d, g)
+    assert len(members) == size
+    assert_one_fit_for_all(d, g, members)
 
 
 # -- shocks and simulation --------------------------------------------------------------
