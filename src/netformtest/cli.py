@@ -510,9 +510,9 @@ def _add_chain_options(p: argparse.ArgumentParser) -> None:
         default=ChainConfig.mixing_r,
         metavar="R",
         help=(
-            "tune tau to modify each arc about R times per draw, by trades and "
-            "cycle switches together: exact expected trade moves plus a "
-            "cycle-switch pilot (default: %(default)s)"
+            "tune tau so that trades alone modify each arc about R times per "
+            "draw (a cycle-switch pilot only where no trade moves an arc or --q "
+            "is 0; default: %(default)s)"
         ),
     )
     p.add_argument(
@@ -520,8 +520,8 @@ def _add_chain_options(p: argparse.ArgumentParser) -> None:
         type=float,
         default=ChainConfig.q,
         help=(
-            "same-group trade probability of each chain step, which also weights "
-            "the trade and cycle-switch rates of --tau-auto; must lie in [0, 1) "
+            "same-group trade probability of each chain step, which also scales "
+            "the rate that --tau-auto reads; must lie in [0, 1) "
             "(default: %(default)s)"
         ),
     )
@@ -583,7 +583,8 @@ def get_parser() -> argparse.ArgumentParser:
         "--reference",
         default="degree-crosslink",
         choices=sorted(_REFERENCE_OF),
-        help="conditioning level of the null reference set",
+        help="conditioning level of the null reference set; density and enumerated "
+        "run no chain and ignore --q, --tau and --tau-auto, enumerated --draws too",
     )
     _add_chain_options(p)
     _add_common(p)

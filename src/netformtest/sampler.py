@@ -81,8 +81,8 @@ __all__ = [
 
 
 class FrozenChainError(RuntimeError):
-    """No trade can move an arc of the observed network and the cycle pilot
-    switched none, so the chain cannot mix."""
+    """No trade can move an arc of the observed network and a pilot of cycle
+    attempts switched none, so the chain cannot mix."""
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,9 @@ class ChainConfig:
     cycle-switching attempt otherwise.  ``q = 0`` switches cycles only;
     ``q = 1`` is refused, since trades alone need not reach the whole
     reference set (no matching turns a directed triangle into its reverse).
-    ``tau = None`` asks :func:`mixing_time_heuristic` for a walk that
-    modifies each arc about ``mixing_r`` times per draw, by trades and cycle
-    switches together: the exact expected trade moves plus a pilot of cycle
-    attempts only, as many as that function's rule gives for ``q``.
+    ``tau = None`` asks :func:`mixing_time_heuristic` for a walk over which
+    the exact expected trade moves alone modify each arc about ``mixing_r``
+    times per draw; cycle switches only add to that.
 
     The default ``q = 0.8`` is the one source of the trade share's default:
     :func:`mixing_time_heuristic`, ``harness.ExperimentConfig`` and the
@@ -463,8 +462,8 @@ def markov_draw(
     Pass a :class:`ChainStats` to accumulate tallies: ``lazy`` counts the
     trade steps, and ``flips`` the arc modifications of trades and cycle
     switches together (see :class:`ChainStats`).  The draw is ``cfg.tau``
-    calls of :func:`markov_step` on the copy.  A pilot-tuned ``cfg`` (``tau``
-    None) raises ValueError: resolve it first, as
+    calls of :func:`markov_step` on the copy.  A ``cfg`` whose ``tau`` is
+    None raises ValueError: resolve it first, as
     :func:`testing.reference_draws` does.
     """
     tau = cfg.tau
@@ -496,15 +495,17 @@ def _expected_trade_flips(d: AdjacencyMatrix, g: GroupAssignment) -> float:
     members is matched with probability w_m = 1 / (m - 1) for even m and
     1 / m for odd m (one member sits out), and each side has probability
     1/2, so the mean is the sum over sides, groups and pairs i < j of
-    w_m * ab / (a + b).
+    w_m * ab / (a + b).  The ab are summed as integers by denominator
+    (a + b) / w_m and divided once over their least common multiple, so the
+    mean is rounded once.
     """
-    total = 0.0
+    by_den: dict[int, int] = {}  # (a + b) / w_m -> sum of ab
     for side in (d.rows, d.cols):
         for group in g.members:
             m = len(group)
             if m < 2:
                 continue
-            part = 0.0
+            inv_w = m if m & 1 else m - 1
             for t, i in enumerate(group):
                 xi = side[i]
                 for j in group[t + 1 :]:
@@ -512,9 +513,10 @@ def _expected_trade_flips(d: AdjacencyMatrix, g: GroupAssignment) -> float:
                     a = (xi & ~xj & ~(1 << j)).bit_count()
                     b = (xj & ~xi & ~(1 << i)).bit_count()
                     if a and b:
-                        part += a * b / (a + b)
-            total += part / (m if m & 1 else m - 1)
-    return total
+                        key = (a + b) * inv_w
+                        by_den[key] = by_den.get(key, 0) + a * b
+    den = math.lcm(*by_den)
+    return sum(ab * (den // k) for k, ab in by_den.items()) / den
 
 
 def mixing_time_heuristic(
@@ -524,37 +526,36 @@ def mixing_time_heuristic(
     q: float = ChainConfig.q,
     rng=None,
 ) -> int:
-    """Walk length that modifies each arc about ``r`` times on average.
+    """Walk length over which trades alone modify each arc about ``r`` times.
 
-    The expected arc modifications per step, trades and cycle switches
-    together (``ChainStats.flips``), is q * T + (1 - q) * F / s.  T, the
-    arcs one global trade moves from ``d``, is computed exactly
-    (:func:`_expected_trade_flips`; skipped at q = 0).  F is the flips of a
-    pilot :func:`markov_draw` of s cycle-switching attempts (q = 0) on a
-    copy of ``d``: s = 1000 for q <= 0.15 and max(1, round(150 (1 - q) / q))
-    otherwise, about the attempts a pilot of 150 trade steps would make.
-    The returned tau solves tau * rate = r * arc_count, i.e.
-    tau = ceil(r * L * s / (q * s * T + (1 - q) * F)).  ``r = 0`` returns 1
-    without a pilot.  ``r`` and ``q`` are checked as :class:`ChainConfig`
-    checks them, before anything else, and an r so large that tau overflows
-    to infinity raises ValueError.  When T = 0 and the pilot flips nothing,
-    no step can change ``d`` and :class:`FrozenChainError` is raised.
+    tau = ceil(r * L / rate) for the L arcs of ``d``.  When q > 0 and a trade
+    can move an arc, the rate is q * T, T the arcs one global trade moves in
+    expectation (:func:`_expected_trade_flips`), and ``rng`` is not read.
+    Cycle switches only add to the rate, so the walk is 1 / (1 - s) times
+    one that counts them, s their share of the arc moves.  Otherwise (q = 0,
+    or T = 0 as on the directed 3-cycle) it is (1 - q) * F / 1000, F the
+    flips of a :func:`markov_draw` of 1000 cycle attempts on a copy of ``d``
+    with ``rng``; if F = 0, :class:`FrozenChainError` is raised.  ``r = 0``
+    returns 1.  ``r`` and ``q`` are checked as :class:`ChainConfig` checks
+    them, and an r so large that tau is not finite raises ValueError.
     """
-    ChainConfig(None, q, r)  # refuses a bad q or r before the pilot length sees q
+    ChainConfig(None, q, r)  # refuses a bad q or r before either rate reads it
     if r == 0:
         return 1
-    if rng is None:
-        raise ValueError("the pilot run needs an explicit rng")
-    pilot_steps = 1000 if q <= 0.15 else max(1, round(150 * (1 - q) / q))
-    stats = ChainStats()
-    markov_draw(d, g, ChainConfig(pilot_steps, 0.0), rng, stats)
-    trades = q * pilot_steps * _expected_trade_flips(d, g) if q else 0.0
-    if not trades and not stats.flips:
-        raise FrozenChainError(
-            f"sampler appears frozen: pilot run of {pilot_steps} steps "
-            "switched no arcs (reference set may contain a single network)"
-        )
-    tau = r * d.arc_count() * pilot_steps / (trades + (1 - q) * stats.flips)
+    rate = q * _expected_trade_flips(d, g) if q else 0.0
+    if rate:
+        tau = r * d.arc_count() / rate
+    elif rng is None:
+        raise ValueError("the cycle pilot needs an explicit rng")
+    else:
+        stats = ChainStats()
+        markov_draw(d, g, ChainConfig(1000, 0.0), rng, stats)
+        if not stats.flips:
+            raise FrozenChainError(
+                "sampler appears frozen: no trade moves an arc and 1000 cycle attempts "
+                "switched none (reference set may contain a single network)"
+            )
+        tau = r * d.arc_count() * 1000 / ((1 - q) * stats.flips)
     if not math.isfinite(tau):
         raise ValueError(f"mixing_r = {r!r} gives a walk length that is not finite")
     return max(1, math.ceil(tau))

@@ -301,13 +301,11 @@ def reference_draws(
     and its draws are the members other than ``observed``; ``n_draws``,
     ``cfg`` and ``seed`` are then ignored, and so is ``cfg`` for
     "density_only".  The chain references walk as ``cfg`` says,
-    ``ChainConfig()`` when it is None.  A pilot-tuned ``cfg`` (``tau`` None)
-    is resolved here, once, by :func:`mixing_time_heuristic`: the exact
-    expected trade moves of the observed network, weighted by ``cfg.q``, and
-    a pilot of cycle attempts on the substream (seed, pilot-namespace),
-    weighted by 1 - ``cfg.q``, set tau so that each arc is modified about
-    ``cfg.mixing_r`` times per draw, and the draws take
-    ``ChainConfig(tau, cfg.q, cfg.mixing_r)``.
+    ``ChainConfig()`` when it is None.  A ``cfg`` whose ``tau`` is None is
+    resolved here, once, by :func:`mixing_time_heuristic` on the observed
+    network, and the draws take ``ChainConfig(tau, cfg.q, cfg.mixing_r)``;
+    where that function runs a cycle pilot (no trade moves an arc, or
+    ``cfg.q`` is 0), it reads the substream (seed, pilot-namespace).
     """
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
@@ -380,8 +378,8 @@ def conditional_p_value(
     "enumerated" replaces sampling with the full reference set (minus the
     observed network), making the add-one p-value the exact conditional tail
     probability.  ``cfg`` is the chain's walk, ``ChainConfig()`` when None;
-    with ``cfg.tau`` None the exact trade moves and a cycle pilot set tau
-    (see :func:`reference_draws`), and the result reports the tau and q the
+    with ``cfg.tau`` None the exact trade moves set tau (see
+    :func:`reference_draws`), and the result reports the tau and q the
     draws used.  Draw b uses the substream (seed, draw-namespace, b), so
     results are independent of ``jobs``.
     """

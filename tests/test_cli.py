@@ -208,9 +208,9 @@ def test_sample_with_one_based_ids_shifts_both_ways(tmp_path):
 
 @pytest.mark.parametrize("q", ["0.5", "0.2"])
 def test_test_and_sample_tune_and_draw_the_same_walk(tmp_path, interior12, q):
-    """Without --tau, --q sets the trade probability of the pilot and of the
-    draws in both subcommands, so the same inputs and seed give the same
-    draws."""
+    """Without --tau, --q sets the trade probability of the tuned walk
+    length and of the draws in both subcommands, so the same inputs and seed
+    give the same draws."""
     d, g, edges, nodes = interior12
     common = [
         "--edges", str(edges),
@@ -239,6 +239,21 @@ def test_test_and_sample_tune_and_draw_the_same_walk(tmp_path, interior12, q):
     ]
     _, null_rows = read_csv_rows(test_out / "null_draws.csv")
     assert [float(r["value"]) for r in null_rows] == expected
+
+
+def test_sample_tunes_the_same_walk_length_for_every_seed(tmp_path):
+    d, g, _ = build_fixture(CHAIN_FIXTURES[5])
+    write_edges(tmp_path / "edges.csv", arcs_of(d))
+    write_nodes(tmp_path / "nodes.csv", g.codes)
+    taus = set()
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        args = ["sample", "--edges", str(tmp_path / "edges.csv"), "--nodes",
+                str(tmp_path / "nodes.csv"), "--draws", "2", "--seed", seed, "--out", str(out)]
+        assert main(args) == 0
+        taus.add(read_manifest(out)["config"]["tau"])
+    assert len(taus) == 1
+    assert taus == {nt.mixing_time_heuristic(d, g)}  # no generator read
 
 
 def test_every_walk_default_reads_the_chain_configs_trade_share():

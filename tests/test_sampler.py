@@ -852,7 +852,7 @@ def test_zero_replication_target_skips_the_pilot():
 def test_pilot_requires_an_explicit_rng():
     d, g, _ = build_fixture(CHAIN_FIXTURES[0])
     with pytest.raises(ValueError, match="rng"):
-        mixing_time_heuristic(d, g, r=5.0)
+        mixing_time_heuristic(d, g, r=5.0, q=0.0)
     with pytest.raises(ValueError, match="non-negative"):
         mixing_time_heuristic(d, g, r=-1.0, rng=random.Random(1))
     for r in (math.inf, math.nan):
@@ -871,44 +871,36 @@ def exact_trade_flips_of(d, g):
     return exact_trade_flips(members, g)[keys.index(d.key())]
 
 
-def test_heuristic_solves_the_flip_rate_equation():
-    # Per step the chain moves q * T arcs by trades, T exact, and (1 - q) * F / s
-    # by cycle switches, F the flips of an s-step cycle-only pilot; tau steps
-    # modify r * L arcs.  At q = 0.25 the pilot is round(150 * 0.75 / 0.25) = 450
-    # cycle attempts.
-    d, g, _ = build_fixture(CHAIN_FIXTURES[5])
-    before = d.key()
-    tau = mixing_time_heuristic(d, g, r=7.0, q=0.25, rng=random.Random(11))
-    assert d.key() == before  # pilot runs on a copy
-    stats = ChainStats()
-    markov_draw(d, g, ChainConfig(tau=450, q=0.0), random.Random(11), stats)
-    trade_flips = exact_trade_flips_of(d, g)
-    assert stats.flips > 0 and trade_flips > 0
-    rate = 0.25 * trade_flips + 0.75 * stats.flips / 450
-    assert tau == math.ceil(7.0 * d.arc_count() / rate)
-
-
 @pytest.mark.parametrize(
-    "q, steps",
-    [
-        (0.0, 1000), (0.15, 1000), (0.2, 600), (0.3, 350), (0.5, 150), (0.7, 64), (0.8, 37),
-        (0.9995, 1),
-    ],
+    "network, q",
+    [("n5_k2_b", q) for q in (0.0, 0.15, 0.2, 0.25, 0.3, 0.5, 0.7, 0.8, 0.9995)]
+    + [("three_cycle", 0.5)],
 )
-def test_pilot_runs_only_cycle_attempts(q, steps):
-    # The pilot is 1000 cycle attempts for q <= 0.15 and otherwise
-    # max(1, round(150 * (1 - q) / q)), about the attempts of a pilot of 150
-    # trade steps.  With the same seed it gives the tau of the flip equation
-    # and leaves the generator where a cycle-only draw of that length does.
-    d, g, _ = build_fixture(CHAIN_FIXTURES[5])
+def test_heuristic_solves_the_flip_rate_equation(network, q):
+    # tau steps modify r * L arcs at a rate of one kind of step.  When q > 0
+    # and a trade can move an arc, the rate is q * T, T exact, and the
+    # generator is not read.  Otherwise (q = 0, or T = 0 as on the directed
+    # 3-cycle) it is (1 - q) * F / 1000, F the flips of a 1000-step
+    # cycle-only pilot, which leaves the generator where that draw does.
+    if network == "three_cycle":
+        d = nt.from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
+        g = nt.GroupAssignment.single_group(3)
+    else:
+        d, g, _ = build_fixture(CHAIN_FIXTURES[5])
+    before = d.key()
     given, default = random.Random(13), random.Random(13)
-    stats = ChainStats()
-    markov_draw(d, g, ChainConfig(steps, 0.0), given, stats)
-    trades = q * steps * exact_trade_flips_of(d, g)
-    want = max(1, math.ceil(7.0 * d.arc_count() * steps / (trades + (1 - q) * stats.flips)))
-    tau = mixing_time_heuristic(d, g, r=7.0, q=q, rng=default)
-    assert tau == want
-    assert default.getstate() == given.getstate()
+    tau = mixing_time_heuristic(d, g, r=7.0, q=q, rng=given)
+    assert d.key() == before  # any pilot runs on a copy
+    trade_flips = exact_trade_flips_of(d, g)
+    assert (trade_flips > 0) == (network != "three_cycle")
+    if q and trade_flips:
+        assert tau == math.ceil(7.0 * d.arc_count() / (q * trade_flips))
+    else:
+        stats = ChainStats()
+        markov_draw(d, g, ChainConfig(1000, 0.0), default, stats)
+        assert stats.flips > 0
+        assert tau == math.ceil(7.0 * d.arc_count() * 1000 / ((1 - q) * stats.flips))
+    assert given.getstate() == default.getstate()
     if q == 0:  # the pilot of a cycle-only chain is unchanged
         assert tau == 15
 

@@ -608,6 +608,16 @@ def test_automatic_walk_length_reproduces_the_pilot_formula(q):
     assert res.q == q
 
 
+def test_default_walk_length_does_not_depend_on_the_seed():
+    # Trades move arcs of this network, so tau comes from the exact trade
+    # moves alone and reads no seed.
+    d, g, _ = build_fixture(CHAIN_FIXTURES[5])
+    stat = nt.TestStatisticSpec(kind="reciprocity_index")
+    taus = {nt.conditional_p_value(d, g, stat, n_draws=2, seed=s).tau for s in (1, 2)}
+    assert len(taus) == 1
+    assert taus == {nt.mixing_time_heuristic(d, g)}  # no generator read
+
+
 def test_density_only_reference_fixes_exactly_the_arc_count():
     rng = random.Random(67)
     d = random_digraph(8, 0.4, rng)

@@ -179,7 +179,7 @@ def commands() -> list[tuple[str, list[str]]]:
 def write_inputs(inputs: Path) -> None:
     """A 16-node two-group network with homophily, a 5-node network small
     enough to enumerate, an experiment configuration file that sets the
-    trade probability and the pilot's target to values other than their
+    trade probability and the walk target to values other than their
     defaults, and one that sets the trade probability to 0.5."""
     inputs.mkdir(parents=True)
     rng = np.random.default_rng(2026)

@@ -12,9 +12,10 @@ in chain steps, is ``THIN``
 times Geyer's initial monotone sequence estimate
 (``benchmarks/spans.integrated_autocorrelation_time``).  Only the chain steps
 are timed, so "ms/IAT" is the chain time one IAT of that statistic costs, and
-1 / (ms/IAT) its effective sample size per millisecond of chain.  tau is the
-median over ``PILOTS`` = 8 pilot-tuned walk lengths (``mixing_time_heuristic``
-seeded 0, 1, ...) at r = 1 and r = 10, and "IATs/draw" is tau over the IAT.
+1 / (ms/IAT) its effective sample size per millisecond of chain.  tau is
+``mixing_time_heuristic`` at r = 1 and r = 10, which reads the exact trade
+moves of the network alone (every q here is positive and every network has
+arcs that a trade can move), and "IATs/draw" is tau over the IAT.
 
 Networks:
   design24, ..., design192      the benchmark's design at n = 24, 48, 96, 192,
@@ -75,7 +76,6 @@ QS = (0.5, 0.65, 0.8, 0.9)
 BASE_Q = QS[0]
 STEPS = 40000
 THIN = 2
-PILOTS = 8
 
 
 def _first_fitted(rng: np.random.Generator, draw):
@@ -148,7 +148,7 @@ def statistic_functions(d, g):
 
 
 def measure(d, g, steps: int, seed: int) -> list[dict]:
-    """Per q: the IAT of each statistic, chain time per step and pilot-tuned taus.
+    """Per q: the IAT of each statistic, chain time per step and tuned taus.
 
     The chains of all q take turns of ``THIN`` steps, so that load from other
     processes falls on every q alike.
@@ -173,13 +173,7 @@ def measure(d, g, steps: int, seed: int) -> list[dict]:
         {
             "us_per_step": 1e6 * chain_s[k] / (THIN * (steps // THIN)),
             "iat": [THIN * integrated_autocorrelation_time(v) for v in series[k]],
-            "tau": {
-                r: statistics.median(
-                    nt.mixing_time_heuristic(d, g, r=r, q=q, rng=random.Random(s))
-                    for s in range(PILOTS)
-                )
-                for r in (1.0, 10.0)
-            },
+            "tau": {r: nt.mixing_time_heuristic(d, g, r=r, q=q) for r in (1.0, 10.0)},
         }
         for k, q in enumerate(QS)
     ]
